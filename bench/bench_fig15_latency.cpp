@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
-#include "hw/lowering.hpp"
+#include "hw/compile.hpp"
 #include "hw/pareto.hpp"
 #include "ml/registry.hpp"
 #include "util/strings.hpp"
@@ -16,6 +16,15 @@
 namespace {
 
 using namespace hmd;
+
+/// The binary-study MLP, trained on the bench split and compiled.
+hw::CompiledDesign compile_mlp() {
+  const auto& [train, test] = bench::binary_split();
+  (void)test;
+  auto mlp = ml::make_classifier("MLP");
+  mlp->train(train);
+  return hw::compile(*mlp, {.num_features = train.num_features()});
+}
 
 void print_fig15() {
   bench::print_banner("Figure 15: Latency comparison (100 MHz target)");
@@ -33,60 +42,46 @@ void print_fig15() {
   }
   table.print(std::cout);
 
-  // Resource-shared variant: the latency cost of sharing multipliers.
-  const auto& [train, test] = bench::binary_split();
-  (void)test;
-  auto mlp = ml::make_classifier("MLP");
-  mlp->train(train);
-  const hw::DataflowGraph g =
-      hw::lower_classifier(*mlp, train.num_features());
+  // Resource-shared variant: the same compiled MLP netlist re-scheduled
+  // over a bounded multiplier pool.
+  const hw::CompiledDesign mlp = compile_mlp();
   TextTable sharing("MLP latency under multiplier sharing");
-  sharing.set_header({"multipliers", "latency cycles"});
-  for (std::uint32_t muls : {1u, 4u, 16u, 64u}) {
-    hw::SynthesisOptions opt;
-    opt.allocation = hw::OperatorAllocation{.multipliers = muls};
-    sharing.add_row({std::to_string(muls),
-                     std::to_string(hw::synthesize(g, "MLP", opt)
-                                        .latency_cycles)});
-  }
-  sharing.add_row({"unbounded",
-                   std::to_string(hw::synthesize(g, "MLP").latency_cycles)});
+  sharing.set_header({"multipliers", "area (slices)", "latency cycles"});
+  const auto add_row = [&](const std::string& label,
+                           const hw::OperatorAllocation& alloc) {
+    const hw::SynthesisReport report = mlp.report(alloc);
+    sharing.add_row({label, format("%.0f", report.area_slices()),
+                     std::to_string(report.latency_cycles)});
+  };
+  for (std::uint32_t muls : {1u, 4u, 16u, 64u})
+    add_row(std::to_string(muls), {.multipliers = muls});
+  add_row("unbounded", {});
   sharing.print(std::cout);
 
   // The Pareto-optimal area/latency designs an implementer would pick from.
   TextTable pareto("MLP area-latency Pareto front (design-space sweep)");
   pareto.set_header({"area (slices)", "latency (cycles)"});
   for (const hw::DesignPoint& p :
-       hw::pareto_front(hw::explore_design_space(g)))
+       hw::pareto_front(hw::explore_design_space(mlp)))
     pareto.add_row({format("%.0f", p.area_slices),
                     std::to_string(p.latency_cycles)});
   pareto.print(std::cout);
 }
 
 void BM_ScheduleAsap(benchmark::State& state) {
-  const auto& [train, test] = bench::binary_split();
-  (void)test;
-  auto mlp = ml::make_classifier("MLP");
-  mlp->train(train);
-  const hw::DataflowGraph g =
-      hw::lower_classifier(*mlp, train.num_features());
+  const hw::CompiledDesign mlp = compile_mlp();
   for (auto _ : state) {
-    auto sched = g.schedule_asap();
+    auto sched = mlp.netlist().schedule();
     benchmark::DoNotOptimize(sched);
   }
 }
 BENCHMARK(BM_ScheduleAsap)->Unit(benchmark::kMicrosecond);
 
 void BM_ScheduleConstrained(benchmark::State& state) {
-  const auto& [train, test] = bench::binary_split();
-  (void)test;
-  auto mlp = ml::make_classifier("MLP");
-  mlp->train(train);
-  const hw::DataflowGraph g =
-      hw::lower_classifier(*mlp, train.num_features());
+  const hw::CompiledDesign mlp = compile_mlp();
   const hw::OperatorAllocation alloc{.multipliers = 8};
   for (auto _ : state) {
-    auto sched = g.schedule_constrained(alloc);
+    auto sched = mlp.netlist().schedule(alloc);
     benchmark::DoNotOptimize(sched);
   }
 }

@@ -8,8 +8,7 @@
 //     rtl_exact schemes (non-zero exit on any mismatch); the LUT-ROM
 //     schemes (NaiveBayes, MLP) report an agreement rate instead.
 //   - hardware: measured cycles/window and area from CompiledDesign's
-//     report() next to the old analytic lower_classifier + synthesize
-//     estimate the netlist numbers replaced.
+//     report().
 //   - software: simulator throughput in windows/s (how fast the
 //     interpreter itself scores, relevant for the serve fpga tier).
 //
@@ -28,9 +27,7 @@
 #include "bench/bench_common.hpp"
 #include "hw/compile.hpp"
 #include "hw/fixed_point_eval.hpp"
-#include "hw/lowering.hpp"
 #include "hw/netlist_sim.hpp"
-#include "hw/synthesis.hpp"
 #include "ml/dataset.hpp"
 #include "ml/quantized.hpp"
 #include "ml/registry.hpp"
@@ -58,12 +55,10 @@ struct SchemeResult {
   std::size_t rows = 0;        ///< held-out rows scored
   std::size_t mismatches = 0;  ///< sim vs Q16 reference decisions
   double agreement = 1.0;
-  // Measured (netlist) vs analytic (lower + synthesize) hardware numbers.
+  // Hardware numbers measured from the netlist.
   std::uint32_t cycles_per_window = 0;
   double latency_us = 0.0;
   double area_slices = 0.0;
-  std::uint32_t analytic_latency_cycles = 0;
-  double analytic_area_slices = 0.0;
   double sim_windows_per_s = 0.0;  ///< software interpreter throughput
 };
 
@@ -84,18 +79,10 @@ SchemeResult run_scheme(const std::string& scheme, const ml::Dataset& train,
   const hw::NetlistSimulator sim(design);
   const hw::SynthesisReport measured = design.report();
 
-  // The estimate this pipeline replaced: schedule the analytic dataflow
-  // graph with full spatial parallelism at the same 100 MHz clock.
-  const hw::DataflowGraph graph =
-      hw::lower_classifier(*clf, train.num_features());
-  const hw::SynthesisReport analytic = hw::synthesize(graph, scheme);
-
   r.nets = design.netlist().num_nodes();
   r.cycles_per_window = measured.latency_cycles;
   r.latency_us = measured.latency_us();
   r.area_slices = measured.area_slices();
-  r.analytic_latency_cycles = analytic.latency_cycles;
-  r.analytic_area_slices = analytic.area_slices();
 
   // Fidelity: the simulator vs the QuantizedModel reference on the SAME
   // Q16.16 input grid (both quantize with the calibrated absmax).
@@ -136,12 +123,10 @@ void write_json(const std::string& path, std::size_t train_rows,
         "    {\"scheme\": \"%s\", \"exact\": %s, \"nets\": %zu, "
         "\"rows\": %zu, \"mismatches\": %zu, \"agreement\": %.6f, "
         "\"cycles_per_window\": %u, \"latency_us\": %.4f, "
-        "\"area_slices\": %.2f, \"analytic_latency_cycles\": %u, "
-        "\"analytic_area_slices\": %.2f, \"sim_windows_per_s\": %.0f}%s\n",
+        "\"area_slices\": %.2f, \"sim_windows_per_s\": %.0f}%s\n",
         r.scheme.c_str(), r.exact ? "true" : "false", r.nets, r.rows,
         r.mismatches, r.agreement, r.cycles_per_window, r.latency_us,
-        r.area_slices, r.analytic_latency_cycles, r.analytic_area_slices,
-        r.sim_windows_per_s, i + 1 < rs.size() ? "," : "");
+        r.area_slices, r.sim_windows_per_s, i + 1 < rs.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";
@@ -155,21 +140,21 @@ int main() {
   const std::size_t max_rows = env_or("HMD_NETLIST_ROWS", 2000);
   const std::vector<std::string> exact_set = ml::rtl_exact_schemes();
 
-  std::printf("%-14s %6s %8s %10s %10s %12s %10s\n", "scheme", "nets",
-              "cycles", "area", "analytic", "sim win/s", "agreement");
+  std::printf("%-14s %6s %8s %10s %12s %10s\n", "scheme", "nets", "cycles",
+              "area", "sim win/s", "agreement");
   std::vector<SchemeResult> results;
   for (const std::string& scheme : ml::rtl_schemes()) {
     SchemeResult r = run_scheme(scheme, train, test, max_rows, exact_set);
-    std::printf("%-14s %6zu %8u %10.1f %10.1f %12.0f %10.4f\n",
-                r.scheme.c_str(), r.nets, r.cycles_per_window, r.area_slices,
-                r.analytic_area_slices, r.sim_windows_per_s, r.agreement);
+    std::printf("%-14s %6zu %8u %10.1f %12.0f %10.4f\n", r.scheme.c_str(),
+                r.nets, r.cycles_per_window, r.area_slices,
+                r.sim_windows_per_s, r.agreement);
     std::fprintf(stderr,
                  "[bench] netlist %-14s nets=%zu cycles/window=%u "
-                 "latency=%.3fus area=%.1f (analytic %.1f) sim=%.0f win/s "
-                 "rows=%zu mismatches=%zu%s\n",
+                 "latency=%.3fus area=%.1f sim=%.0f win/s rows=%zu "
+                 "mismatches=%zu%s\n",
                  r.scheme.c_str(), r.nets, r.cycles_per_window, r.latency_us,
-                 r.area_slices, r.analytic_area_slices, r.sim_windows_per_s,
-                 r.rows, r.mismatches, r.exact ? " [exact gate]" : "");
+                 r.area_slices, r.sim_windows_per_s, r.rows, r.mismatches,
+                 r.exact ? " [exact gate]" : "");
     results.push_back(std::move(r));
   }
 

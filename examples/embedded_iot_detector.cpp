@@ -2,8 +2,8 @@
 //
 // Resource-constrained devices cannot afford an MLP's multipliers, so this
 // example walks the full embedded flow: reduce 16 counters to the 4 most
-// discriminative via PCA, train the cheap rule learners, push every
-// candidate through the HLS-style synthesis estimator, verify fixed-point
+// discriminative via PCA, train the cheap rule learners, compile every
+// candidate to a netlist and read its synthesis report, verify fixed-point
 // accuracy, and pick the detector with the best accuracy/area.
 //
 //   $ ./embedded_iot_detector
@@ -14,9 +14,9 @@
 #include "core/dataset_builder.hpp"
 #include "core/detector.hpp"
 #include "core/feature_reduction.hpp"
+#include "hw/compile.hpp"
 #include "hw/fixed_point_eval.hpp"
-#include "hw/lowering.hpp"
-#include "hw/rtl_emitter.hpp"
+#include "hw/verilog_backend.hpp"
 #include "ml/registry.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -78,7 +78,9 @@ int main() {
   auto winner = ml::make_classifier("JRip");
   winner->train(btrain.project(top4.indices));
   const std::string rtl =
-      hw::emit_verilog(*winner, top4.indices.size(), "hmd_jrip_detector");
+      hw::compile(*winner, {.num_features = top4.indices.size(),
+                            .module_name = "hmd_jrip_detector"})
+          .emit(hw::VerilogBackend());
   const char* rtl_path = "hmd_jrip_detector.v";
   {
     std::ofstream out(rtl_path);

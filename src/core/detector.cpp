@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "hw/lowering.hpp"
+#include "hw/compile.hpp"
 #include "ml/instrumented.hpp"
 #include "ml/registry.hpp"
 #include "util/error.hpp"
@@ -49,7 +49,8 @@ std::vector<BinaryStudyRow> BinaryStudy::run(const std::vector<std::string>& sch
     row.num_features = train.num_features();
     row.report = std::move(tm.evaluation);
     row.synthesis =
-        hw::synthesize_classifier(*tm.model, train.num_features());
+        hw::compile(*tm.model, {.num_features = train.num_features()})
+            .report();
     return row;
   });
 }

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/feature_reduction.hpp"
-#include "hw/synthesis.hpp"
+#include "hw/compile.hpp"
 #include "ml/classifier.hpp"
 #include "ml/evaluation.hpp"
 #include "util/thread_pool.hpp"

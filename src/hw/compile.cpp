@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <sstream>
 
 #include "hw/backend.hpp"
-#include "hw/netlist_sim.hpp"
 #include "ml/decision_stump.hpp"
 #include "ml/j48.hpp"
 #include "ml/jrip.hpp"
@@ -13,6 +13,7 @@
 #include "ml/mlp.hpp"
 #include "ml/naive_bayes.hpp"
 #include "ml/one_r.hpp"
+#include "ml/registry.hpp"
 #include "ml/svm.hpp"
 #include "util/error.hpp"
 
@@ -341,6 +342,13 @@ void collect_j48(std::vector<double>& mag, const ml::J48::Node& node) {
   collect_j48(mag, *node.right);
 }
 
+/// Static power scales with occupied area, dynamic with inference rate.
+void finalize_power(SynthesisReport& report, double inferences_per_second) {
+  report.static_power_mw = 0.015 * report.area_slices() / 10.0;
+  report.dynamic_power_mw = report.energy_per_inference_pj * 1e-12 *
+                            inferences_per_second * 1e3;
+}
+
 std::vector<double> standardizer_absmax(const ml::Standardizer& std_,
                                         std::size_t num_features) {
   std::vector<double> absmax(num_features, 1.0);
@@ -352,15 +360,7 @@ std::vector<double> standardizer_absmax(const ml::Standardizer& std_,
 }  // namespace
 
 bool compile_supported(const ml::Classifier& clf) {
-  const ml::Classifier& u = clf.unwrap();
-  return dynamic_cast<const ml::OneR*>(&u) != nullptr ||
-         dynamic_cast<const ml::DecisionStump*>(&u) != nullptr ||
-         dynamic_cast<const ml::J48*>(&u) != nullptr ||
-         dynamic_cast<const ml::JRip*>(&u) != nullptr ||
-         dynamic_cast<const ml::NaiveBayes*>(&u) != nullptr ||
-         dynamic_cast<const ml::Logistic*>(&u) != nullptr ||
-         dynamic_cast<const ml::LinearSvm*>(&u) != nullptr ||
-         dynamic_cast<const ml::Mlp*>(&u) != nullptr;
+  return ml::is_rtl_scheme(clf.unwrap().name());
 }
 
 std::vector<double> model_feature_absmax(const ml::Classifier& clf,
@@ -453,8 +453,10 @@ Result<CompiledDesign> try_compile(const ml::Classifier& clf,
       lower_net_linear(ctx, mlr->weights(), mlr->standardizer());
     else if (const auto* svm = dynamic_cast<const ml::LinearSvm*>(&u))
       lower_net_linear(ctx, svm->weights(), svm->standardizer());
+    else if (const auto* mlp = dynamic_cast<const ml::Mlp*>(&u))
+      lower_net_mlp(ctx, *mlp, options.lut_size);
     else
-      lower_net_mlp(ctx, dynamic_cast<const ml::Mlp&>(u), options.lut_size);
+      HMD_REQUIRE(false, "compile: no netlist lowering for " + u.name());
 
     return CompiledDesign(std::move(ctx.nl), u.name(),
                           std::move(options.module_name), std::move(absmax),
@@ -471,17 +473,26 @@ std::string CompiledDesign::emit(const Backend& backend) const {
   return backend.emit(*this);
 }
 
-SynthesisReport CompiledDesign::report() const {
+SynthesisReport CompiledDesign::report(
+    const OperatorAllocation& allocation) const {
   SynthesisReport report;
   report.design_name = scheme_;
   report.clock_mhz = clock_mhz_;
-  report.resources = netlist_.total_resources();
-  // Measured, not estimated: the simulator's critical path over the
-  // per-net pipeline annotations.
-  report.latency_cycles = NetlistSimulator(*this).cycles_per_window();
+  report.resources = netlist_.total_resources(allocation);
+  report.latency_cycles = netlist_.schedule(allocation).latency_cycles;
   report.energy_per_inference_pj = netlist_.total_energy_pj();
   finalize_power(report, inferences_per_second_);
   return report;
+}
+
+std::string SynthesisReport::to_string() const {
+  std::ostringstream os;
+  os << "design " << design_name << ": " << resources.luts << " LUT, "
+     << resources.ffs << " FF, " << resources.dsps << " DSP, "
+     << resources.brams << " BRAM (" << area_slices() << " slice-eq), "
+     << latency_cycles << " cycles @ " << clock_mhz << " MHz ("
+     << latency_us() << " us), " << total_power_mw() << " mW";
+  return os.str();
 }
 
 }  // namespace hmd::hw

@@ -9,10 +9,12 @@
 // compile() lowers the model onto the netlist IR (hw/netlist.hpp) with
 // Q16.16 semantics shared with hw/evaluate_fixed_point; CompiledDesign then
 // exposes the pluggable Backends (Verilog, VHDL) and the cycle-accurate
-// NetlistSimulator. report() replaces the old analytic estimate with
-// numbers *measured* from the netlist: latency is the simulator's critical
-// path over the per-net pipeline annotations, area/energy are summed from
-// the instantiated nets.
+// NetlistSimulator. report() quotes numbers measured from the netlist:
+// latency is Netlist::schedule()'s critical path over the per-net pipeline
+// annotations, area/energy are summed from the instantiated nets. Passing
+// an OperatorAllocation re-schedules the same nets over shared multiplier/
+// adder/comparator pools — the area/latency trade hw/pareto sweeps. The
+// netlist is the repo's only hardware cost model.
 //
 // Supported schemes (see ml::rtl_schemes()):
 //   exact    — OneR, DecisionStump, J48, JRip, MLR, SVM: simulator class
@@ -26,17 +28,12 @@
 // Unsupported schemes (IBk, ZeroR, ensembles, one-class): try_compile()
 // returns a kPrecondition ErrorInfo naming the scheme; compile() raises it
 // as hmd::PreconditionError.
-//
-// The legacy per-scheme emit_verilog()/lower_*()/synthesize_classifier()
-// surfaces in hw/rtl_emitter.hpp and hw/lowering.hpp are thin deprecated
-// wrappers over this pipeline (see those headers for the mapping).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "hw/netlist.hpp"
-#include "hw/synthesis.hpp"
 #include "ml/classifier.hpp"
 #include "util/result.hpp"
 
@@ -55,13 +52,36 @@ struct CompileOptions {
   /// port). Empty = derive a dataset-free bound from the model itself via
   /// model_feature_absmax(). Pass hw::calibrate_feature_absmax(test) to pin
   /// the grid to a dataset, exactly as evaluate_fixed_point does.
-  std::vector<double> feature_absmax;
+  std::vector<double> feature_absmax = {};
   /// Entries per LUT-ROM (power of two). Larger = closer to the float
   /// model for NaiveBayes/MLP, more BRAM lines in the emitted RTL.
   std::size_t lut_size = 256;
-  /// report() parameters (same meaning as SynthesisOptions).
+  /// report() target clock.
   double clock_mhz = 100.0;
+  /// Windows classified per second (drives average power): the paper's
+  /// 10 ms sampling period -> 100 inferences/s per monitored core.
   double inferences_per_second = 100.0;
+};
+
+/// Area, latency and power of one compiled design — the numbers Vivado HLS
+/// hands back, at the CompileOptions target clock.
+struct SynthesisReport {
+  std::string design_name;
+  ResourceCost resources;
+  std::uint32_t latency_cycles = 0;
+  double clock_mhz = 100.0;
+  double energy_per_inference_pj = 0.0;
+  double static_power_mw = 0.0;
+  double dynamic_power_mw = 0.0;
+
+  double latency_us() const {
+    return static_cast<double>(latency_cycles) / clock_mhz;
+  }
+  double area_slices() const { return resources.equivalent_slices(); }
+  double total_power_mw() const { return static_power_mw + dynamic_power_mw; }
+
+  /// One-line human-readable rendering.
+  std::string to_string() const;
 };
 
 /// A compiled classifier: the netlist plus the grid calibration it was
@@ -83,10 +103,12 @@ class CompiledDesign {
   /// Render through a language backend (VerilogBackend / VhdlBackend).
   std::string emit(const Backend& backend) const;
 
-  /// Synthesis numbers measured from the netlist: latency = the simulator's
-  /// critical path, area/energy summed over the instantiated nets, power
-  /// from the shared finalize_power model. Replaces synthesize_classifier().
-  SynthesisReport report() const;
+  /// Synthesis numbers measured from the netlist: latency from
+  /// Netlist::schedule(allocation), area from total_resources(allocation)
+  /// (pooled kinds priced at min(count, cap) instances), energy summed
+  /// over the nets; static power scales with area, dynamic with the
+  /// inference rate. With no caps this is the fully parallel design.
+  SynthesisReport report(const OperatorAllocation& allocation = {}) const;
 
  private:
   friend Result<CompiledDesign> try_compile(const ml::Classifier&,

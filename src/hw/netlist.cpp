@@ -1,7 +1,9 @@
 #include "hw/netlist.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <queue>
 
 #include "util/error.hpp"
 #include "util/fixed_point.hpp"
@@ -309,9 +311,49 @@ double Netlist::node_energy_pj(NetId id) const {
   return 0.0;
 }
 
-ResourceCost Netlist::total_resources() const {
+namespace {
+
+constexpr std::size_t kNumPools = 3;
+
+/// The shared pool a net draws from (0 = multipliers, 1 = adders,
+/// 2 = comparators), or kNumPools for nets that own their instance.
+std::size_t pool_of(NetOp op) {
+  switch (op) {
+    case NetOp::kMul: return 0;
+    case NetOp::kAdd: return 1;
+    case NetOp::kCmpLe:
+    case NetOp::kCmpGt: return 2;
+    default: return kNumPools;
+  }
+}
+
+/// Per-pool instance caps (nullopt = unlimited), validated positive.
+std::array<std::optional<std::uint32_t>, kNumPools> pool_caps(
+    const OperatorAllocation& alloc) {
+  const std::array<std::optional<std::uint32_t>, kNumPools> caps = {
+      alloc.multipliers, alloc.adders, alloc.comparators};
+  for (const auto& cap : caps)
+    HMD_REQUIRE(!cap.has_value() || *cap > 0,
+                "operator allocation must be positive");
+  return caps;
+}
+
+}  // namespace
+
+ResourceCost Netlist::total_resources(const OperatorAllocation& alloc) const {
+  const auto caps = pool_caps(alloc);
+  std::array<std::uint32_t, kNumPools> priced{};
   ResourceCost total;
-  for (NetId id = 0; id < nodes_.size(); ++id) total += node_cost(id);
+  for (NetId id = 0; id < nodes_.size(); ++id) {
+    // Every net of a pool costs the same, so pricing only the first `cap`
+    // of them prices min(count, cap) instances.
+    const std::size_t p = pool_of(nodes_[id].op);
+    if (p < kNumPools && caps[p].has_value()) {
+      if (priced[p] == *caps[p]) continue;
+      ++priced[p];
+    }
+    total += node_cost(id);
+  }
   return total;
 }
 
@@ -319,6 +361,65 @@ double Netlist::total_energy_pj() const {
   double total = 0.0;
   for (NetId id = 0; id < nodes_.size(); ++id) total += node_energy_pj(id);
   return total;
+}
+
+Schedule Netlist::schedule(const OperatorAllocation& alloc) const {
+  const auto caps = pool_caps(alloc);
+  const std::size_t n = nodes_.size();
+  Schedule sched;
+  sched.start_cycle.assign(n, 0);
+
+  // Remaining-operand counts and, in CSR form, the nets each result feeds:
+  // users of net a are user_list[first_user[a] .. first_user[a + 1]).
+  std::vector<std::uint32_t> pending(n, 0);
+  std::vector<std::uint32_t> first_user(n + 1, 0);
+  for (NetId id = 0; id < n; ++id) {
+    pending[id] = static_cast<std::uint32_t>(nodes_[id].args.size());
+    for (NetId a : nodes_[id].args) ++first_user[a + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) first_user[i + 1] += first_user[i];
+  std::vector<NetId> user_list(first_user[n]);
+  {
+    std::vector<std::uint32_t> fill(first_user.begin(), first_user.end() - 1);
+    for (NetId id = 0; id < n; ++id)
+      for (NetId a : nodes_[id].args) user_list[fill[a]++] = id;
+  }
+
+  // Min-heap of (operands-ready cycle, net): nets are placed in the order
+  // their operands become available, so earlier-ready work claims shared
+  // instances first.
+  using Item = std::pair<std::uint32_t, NetId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> ready;
+  std::vector<std::uint32_t> ready_at(n, 0);
+  for (NetId id = 0; id < n; ++id)
+    if (pending[id] == 0) ready.emplace(0, id);
+
+  // Per pool, the cycle each physical instance frees up.
+  std::array<std::vector<std::uint32_t>, kNumPools> busy_until;
+  while (!ready.empty()) {
+    const auto [cycle, id] = ready.top();
+    ready.pop();
+    const std::uint32_t latency = node_latency(id);
+    std::uint32_t start = cycle;
+    const std::size_t p = pool_of(nodes_[id].op);
+    if (p < kNumPools && caps[p].has_value()) {
+      auto& pool = busy_until[p];
+      if (pool.size() < *caps[p]) pool.push_back(0);
+      // Take the instance that frees earliest.
+      auto it = std::min_element(pool.begin(), pool.end());
+      start = std::max(start, *it);
+      *it = start + latency;
+    }
+    sched.start_cycle[id] = start;
+    const std::uint32_t done = start + latency;
+    sched.latency_cycles = std::max(sched.latency_cycles, done);
+    for (std::uint32_t u = first_user[id]; u < first_user[id + 1]; ++u) {
+      const NetId user = user_list[u];
+      ready_at[user] = std::max(ready_at[user], done);
+      if (--pending[user] == 0) ready.emplace(ready_at[user], user);
+    }
+  }
+  return sched;
 }
 
 }  // namespace hmd::hw

@@ -9,8 +9,11 @@
 //       render each net as one RTL statement, so both languages are
 //       emitted from identical structure (the Icarus tgt-vhdl split);
 //   NetlistSimulator              (hw/netlist_sim.hpp)
-//       executes the nets in topological order over int64 raws, measuring
-//       latency from the per-node pipeline annotations below;
+//       executes the nets in topological order over int64 raws;
+//   Netlist::schedule()           (below)
+//       list-schedules the nets over the per-node pipeline annotations,
+//       optionally under a bounded OperatorAllocation — the one place the
+//       repo derives hardware latency;
 //   CompiledDesign::report()      (hw/compile.hpp)
 //       prices the nets with the hw/resource.hpp operator library.
 //
@@ -32,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -118,6 +122,23 @@ struct LutRom {
   std::vector<std::int64_t> values;  ///< Q48.16 raw outputs, power-of-two size
 };
 
+/// Operator allocation for resource-shared scheduling: how many physical
+/// instances of each pooled operator class exist. Missing entries =
+/// unlimited (every net gets its own instance — the fully parallel design).
+/// The n-ary and-reduce/argmax trees, muxes, ROMs and the output register
+/// are never pooled.
+struct OperatorAllocation {
+  std::optional<std::uint32_t> multipliers = {};  ///< shared kMul pool
+  std::optional<std::uint32_t> adders = {};       ///< shared kAdd pool
+  std::optional<std::uint32_t> comparators = {};  ///< kCmpLe/kCmpGt pool
+};
+
+/// A list schedule of a netlist.
+struct Schedule {
+  std::uint32_t latency_cycles = 0;
+  std::vector<std::uint32_t> start_cycle;  ///< per net
+};
+
 /// The DAG. Built by hw::compile()'s scheme lowerings; immutable afterwards.
 /// Builder methods validate operand existence and types, so a Netlist that
 /// constructed successfully is well-formed by construction.
@@ -166,8 +187,17 @@ class Netlist {
   std::uint32_t node_latency(NetId id) const;
   /// Per-net dynamic energy (pJ) for one window.
   double node_energy_pj(NetId id) const;
-  ResourceCost total_resources() const;
+  /// Summed resources. Pooled kinds are priced at min(count, cap)
+  /// instances under a bounded allocation; everything else as instantiated.
+  ResourceCost total_resources(const OperatorAllocation& alloc = {}) const;
   double total_energy_pj() const;
+
+  /// Resource-constrained list schedule: nets start once their operands
+  /// are registered and, for pooled kinds, an instance is free (one op per
+  /// instance at a time — sharing's upper bound on latency). With no caps
+  /// this is the ASAP schedule and latency is the registered critical
+  /// path. Throws hmd::PreconditionError on a zero-sized pool.
+  Schedule schedule(const OperatorAllocation& alloc = {}) const;
 
  private:
   NetId push(NetNode node);

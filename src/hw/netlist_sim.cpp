@@ -10,17 +10,7 @@ NetlistSimulator::NetlistSimulator(const CompiledDesign& design)
     : design_(&design) {
   const Netlist& nl = design.netlist();
   HMD_REQUIRE(nl.has_output(), "NetlistSimulator: design has no output net");
-  // Ready-time pass: each net's result is registered node_latency() cycles
-  // after its slowest operand — the critical path the hardware pays.
-  std::vector<std::uint32_t> ready(nl.num_nodes(), 0);
-  for (NetId id = 0; id < nl.num_nodes(); ++id) {
-    const NetNode& n = nl.node(id);
-    std::uint32_t operands_ready = 0;
-    for (NetId a : n.args)
-      operands_ready = std::max(operands_ready, ready[a]);
-    ready[id] = operands_ready + nl.node_latency(id);
-    cycles_per_window_ = std::max(cycles_per_window_, ready[id]);
-  }
+  cycles_per_window_ = nl.schedule().latency_cycles;
 }
 
 std::size_t NetlistSimulator::run_raw(

@@ -1,9 +1,9 @@
 // Cycle-accurate netlist interpreter: executes a CompiledDesign's nets in
 // topological order (builder order IS topological order — operands must
 // exist before use) over int64 Q16.16 raws, exactly as the emitted RTL
-// datapath computes them. Construction also runs a ready-time pass over
-// the per-net pipeline annotations, so cycles_per_window() is the measured
-// registered critical path — the latency CompiledDesign::report() quotes.
+// datapath computes them. cycles_per_window() is the registered critical
+// path from Netlist::schedule() — the latency CompiledDesign::report()
+// quotes for the fully parallel design.
 //
 // run() quantizes float features onto the design's input grid first (the
 // shared helpers in hw/netlist.hpp), which is what makes simulator class
@@ -32,8 +32,8 @@ class NetlistSimulator {
   /// trailing features beyond the port list are ignored.
   std::size_t run(std::span<const double> features) const;
 
-  /// Measured registered pipeline depth: max over nets of
-  /// ready(operands) + node latency.
+  /// Registered pipeline depth: the unconstrained Netlist::schedule()
+  /// latency.
   std::uint32_t cycles_per_window() const { return cycles_per_window_; }
 
   /// Fully-pipelined throughput at `clock_mhz` (one window per cycle once

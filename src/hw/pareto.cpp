@@ -2,22 +2,15 @@
 
 #include <algorithm>
 
-#include "hw/lowering.hpp"
 #include "util/error.hpp"
 
 namespace hmd::hw {
 
 namespace {
 
-DesignPoint evaluate(const DataflowGraph& graph,
-                     const OperatorAllocation& alloc, double clock_mhz) {
-  SynthesisOptions options;
-  options.clock_mhz = clock_mhz;
-  const bool bounded = alloc.multipliers.has_value() ||
-                       alloc.adders.has_value() ||
-                       alloc.comparators.has_value();
-  if (bounded) options.allocation = alloc;
-  const SynthesisReport report = synthesize(graph, "dse", options);
+DesignPoint evaluate(const CompiledDesign& design,
+                     const OperatorAllocation& alloc) {
+  const SynthesisReport report = design.report(alloc);
   return {.allocation = alloc,
           .area_slices = report.area_slices(),
           .latency_cycles = report.latency_cycles,
@@ -43,33 +36,32 @@ void mark_pareto(std::vector<DesignPoint>& points) {
 
 }  // namespace
 
-std::vector<DesignPoint> explore_design_space(const DataflowGraph& graph,
+std::vector<DesignPoint> explore_design_space(const CompiledDesign& design,
                                               const ParetoOptions& options) {
   HMD_REQUIRE(!options.pool_sizes.empty(),
               "explore_design_space: no pool sizes");
   std::vector<DesignPoint> points;
 
   // Fully parallel reference point.
-  points.push_back(evaluate(graph, {}, options.clock_mhz));
+  points.push_back(evaluate(design, {}));
 
   // Shared-multiplier sweeps (the dominant cost), alone and with matched
   // adder/comparator pools.
   for (std::uint32_t m : options.pool_sizes) {
-    points.push_back(
-        evaluate(graph, {.multipliers = m}, options.clock_mhz));
-    points.push_back(evaluate(graph,
-                              {.multipliers = m, .adders = m,
-                               .comparators = m},
-                              options.clock_mhz));
+    points.push_back(evaluate(design, {.multipliers = m}));
+    points.push_back(evaluate(
+        design, {.multipliers = m, .adders = m, .comparators = m}));
   }
 
-  std::sort(points.begin(), points.end(),
-            [](const DesignPoint& a, const DesignPoint& b) {
-              if (a.area_slices != b.area_slices)
-                return a.area_slices < b.area_slices;
-              return a.latency_cycles < b.latency_cycles;
-            });
-  // Deduplicate identical (area, latency) points.
+  // Stable, so deduplicating identical (area, latency) points keeps the
+  // first one explored: the fully parallel point survives any allocation
+  // whose caps do not bind.
+  std::stable_sort(points.begin(), points.end(),
+                   [](const DesignPoint& a, const DesignPoint& b) {
+                     if (a.area_slices != b.area_slices)
+                       return a.area_slices < b.area_slices;
+                     return a.latency_cycles < b.latency_cycles;
+                   });
   points.erase(std::unique(points.begin(), points.end(),
                            [](const DesignPoint& a, const DesignPoint& b) {
                              return a.area_slices == b.area_slices &&
@@ -78,12 +70,6 @@ std::vector<DesignPoint> explore_design_space(const DataflowGraph& graph,
                points.end());
   mark_pareto(points);
   return points;
-}
-
-std::vector<DesignPoint> explore_classifier(const ml::Classifier& clf,
-                                            std::size_t num_features,
-                                            const ParetoOptions& options) {
-  return explore_design_space(lower_classifier(clf, num_features), options);
 }
 
 std::vector<DesignPoint> pareto_front(std::vector<DesignPoint> points) {

@@ -1,17 +1,16 @@
 // Area-latency design-space exploration.
 //
 // The thesis synthesizes each classifier once (fully parallel); a real HLS
-// flow explores the allocation space. This module sweeps the shared
-// multiplier/adder/comparator pools of a lowered classifier and returns the
+// flow explores the allocation space. This module re-schedules a compiled
+// design over shared multiplier/adder/comparator pools
+// (CompiledDesign::report(OperatorAllocation)) and returns the
 // Pareto-optimal (area, latency) design points — the curve an implementer
 // actually chooses from.
 #pragma once
 
 #include <vector>
 
-#include "hw/dataflow.hpp"
-#include "hw/synthesis.hpp"
-#include "ml/classifier.hpp"
+#include "hw/compile.hpp"
 
 namespace hmd::hw {
 
@@ -27,18 +26,14 @@ struct DesignPoint {
 struct ParetoOptions {
   /// Candidate pool sizes tried for each operator class (also combined).
   std::vector<std::uint32_t> pool_sizes = {1, 2, 4, 8, 16, 32};
-  double clock_mhz = 100.0;
 };
 
-/// Sweep operator allocations for `graph`; all evaluated points are
-/// returned, sorted by area, with Pareto-optimal ones marked.
-std::vector<DesignPoint> explore_design_space(const DataflowGraph& graph,
+/// Sweep operator allocations for `design`; the distinct (area, latency)
+/// points are returned, sorted by area, with Pareto-optimal ones marked.
+/// The fully parallel point (empty allocation) is always among them and
+/// is exactly design.report().
+std::vector<DesignPoint> explore_design_space(const CompiledDesign& design,
                                               const ParetoOptions& options = {});
-
-/// Convenience: lower `clf` and explore.
-std::vector<DesignPoint> explore_classifier(const ml::Classifier& clf,
-                                            std::size_t num_features,
-                                            const ParetoOptions& options = {});
 
 /// Filter to the Pareto-optimal subset (sorted by area ascending).
 std::vector<DesignPoint> pareto_front(std::vector<DesignPoint> points);

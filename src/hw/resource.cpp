@@ -44,7 +44,6 @@ const std::array<OpInfo, kNumOps>& op_table() {
       {"compare",        {16, 1, 0, 0},   1, 0.8},
       {"add",            {32, 32, 0, 0},  1, 1.2},
       {"mul",            {40, 64, 3, 0},  3, 6.5},
-      {"mac",            {48, 72, 3, 0},  3, 7.0},
       {"mux2",           {16, 8, 0, 0},   1, 0.3},
       {"and",            {4, 1, 0, 0},    1, 0.2},
       {"sigmoid_lut",    {24, 32, 0, 1},  2, 2.5},

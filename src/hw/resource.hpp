@@ -2,9 +2,10 @@
 //
 // The thesis pushes each trained classifier through Xilinx Vivado HLS and
 // compares the resulting area and latency (Figs. 14-16). This module is the
-// cost side of our HLS-style estimator: a library of Q16.16 fixed-point
-// datapath operators with LUT/FF/DSP/BRAM footprints and pipeline latencies
-// shaped after 7-series synthesis results at a 100 MHz clock.
+// operator library the netlist (hw/netlist.hpp) prices its nets with:
+// Q16.16 fixed-point datapath operators with LUT/FF/DSP/BRAM footprints
+// and pipeline latencies shaped after 7-series synthesis results at a
+// 100 MHz clock.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,6 @@ enum class HwOp : std::uint8_t {
   kCompare,     ///< 32-bit magnitude comparator
   kAdd,         ///< 32-bit adder/subtractor
   kMul,         ///< 32x32 fixed-point multiplier (DSP-mapped)
-  kMac,         ///< fused multiply-accumulate
   kMux2,        ///< 2:1 32-bit mux
   kAnd,         ///< wide AND reduction (rule conjunction)
   kSigmoidLut,  ///< BRAM-backed sigmoid/exp lookup

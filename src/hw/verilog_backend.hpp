@@ -1,7 +1,7 @@
 // Verilog-2001 backend over the netlist IR: each net renders as one
 // continuous assignment (compares, muxes, adds, 128-bit-intermediate
 // multiplies) or one always block (argmax chains, LUT-ROM lookups), with
-// the same module shell the legacy emitter produced:
+// this module shell:
 //
 //   module <name> (
 //     input  wire clk, rst, valid_in,
@@ -10,9 +10,7 @@
 //     output reg  valid_out
 //   );
 //
-// Combinational datapath, one output register stage. The legacy per-scheme
-// emit_verilog() overloads in hw/rtl_emitter.hpp are deprecated wrappers
-// over compile() + this backend.
+// Combinational datapath, one output register stage.
 #pragma once
 
 #include "hw/backend.hpp"

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -189,6 +190,160 @@ TEST(NetlistCost, TotalsSumTheInstantiatedNets) {
   EXPECT_GT(nl.total_energy_pj(), 0.0);
   EXPECT_EQ(nl.count_ops(NetOp::kMux), 1u);
   EXPECT_EQ(nl.count_ops(NetOp::kCmpLe), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Scheduling (Netlist::schedule): the ASAP critical path with no caps, a
+// resource-constrained list schedule over shared operator pools otherwise.
+
+/// x * c: one multiplier net fed by the single input port.
+NetId mul_of(Netlist& nl, NetId x) {
+  return nl.mul(x, nl.constant(NetType::kWide, 3), 0);
+}
+
+TEST(Dataflow, InputsAreFree) {
+  Netlist nl(2, 2);
+  nl.input(0);
+  nl.input(1);
+  EXPECT_EQ(nl.num_nodes(), 2u);
+  EXPECT_EQ(nl.total_resources().luts, 0u);
+  EXPECT_EQ(nl.total_energy_pj(), 0.0);
+  EXPECT_EQ(nl.schedule().latency_cycles, 0u);
+}
+
+TEST(Dataflow, SingleOpLatency) {
+  Netlist nl = tiny();
+  mul_of(nl, nl.input(0));
+  EXPECT_EQ(nl.schedule().latency_cycles, hw_op_latency(HwOp::kMul));
+}
+
+TEST(Dataflow, ChainLatencyIsSum) {
+  Netlist nl = tiny();
+  const NetId m = mul_of(nl, nl.input(0));                       // 3 cycles
+  const NetId a = nl.add(m, nl.constant(NetType::kWide, 1));     // 1 cycle
+  nl.cmp_le(a, nl.constant(NetType::kWide, 0));                  // 1 cycle
+  EXPECT_EQ(nl.schedule().latency_cycles, 5u);
+}
+
+TEST(Dataflow, ParallelOpsShareCriticalPath) {
+  Netlist nl = tiny();
+  const NetId in = nl.input(0);
+  for (int i = 0; i < 16; ++i) mul_of(nl, in);
+  // 16 parallel multiplies: still just one mul latency.
+  EXPECT_EQ(nl.schedule().latency_cycles, hw_op_latency(HwOp::kMul));
+  EXPECT_EQ(nl.count_ops(NetOp::kMul), 16u);
+}
+
+TEST(Dataflow, ResourcesSumOverOps) {
+  Netlist nl = tiny();
+  const NetId in = nl.input(0);
+  mul_of(nl, in);
+  mul_of(nl, in);
+  nl.add(in, in);
+  const ResourceCost total = nl.total_resources();
+  EXPECT_EQ(total.dsps, 2 * hw_op_cost(HwOp::kMul).dsps);
+  EXPECT_EQ(total.luts,
+            2 * hw_op_cost(HwOp::kMul).luts + hw_op_cost(HwOp::kAdd).luts);
+}
+
+TEST(Dataflow, EnergySumsOverOps) {
+  Netlist nl = tiny();
+  const NetId in = nl.input(0);
+  mul_of(nl, in);
+  nl.add(in, in);
+  EXPECT_DOUBLE_EQ(nl.total_energy_pj(), hw_op_energy_pj(HwOp::kMul) +
+                                             hw_op_energy_pj(HwOp::kAdd));
+}
+
+TEST(Dataflow, UnknownDependencyThrows) {
+  Netlist nl = tiny();
+  const NetId in = nl.input(0);
+  EXPECT_THROW((void)nl.add(in, 42), PreconditionError);
+}
+
+TEST(Dataflow, ConstrainedScheduleNoWorseThanSerial) {
+  Netlist nl = tiny();
+  const NetId in = nl.input(0);
+  for (int i = 0; i < 8; ++i) mul_of(nl, in);
+  const Schedule unconstrained = nl.schedule();
+  const Schedule constrained = nl.schedule({.multipliers = 1});
+  // One multiplier for 8 ops: fully serialized.
+  EXPECT_GE(constrained.latency_cycles, 8 * hw_op_latency(HwOp::kMul));
+  EXPECT_GT(constrained.latency_cycles, unconstrained.latency_cycles);
+  // Capping a pool can only lengthen the schedule, never shorten it.
+  for (const OperatorAllocation alloc :
+       {OperatorAllocation{.adders = 1}, OperatorAllocation{.comparators = 1},
+        OperatorAllocation{.multipliers = 3, .adders = 1}})
+    EXPECT_GE(nl.schedule(alloc).latency_cycles,
+              unconstrained.latency_cycles);
+}
+
+TEST(Dataflow, MoreOperatorsReduceLatency) {
+  Netlist nl = tiny();
+  const NetId in = nl.input(0);
+  std::vector<NetId> products;
+  for (int i = 0; i < 12; ++i) products.push_back(mul_of(nl, in));
+  // An adder chain over the products gives the adder pool work too.
+  NetId sum = products.front();
+  for (std::size_t i = 1; i < products.size(); ++i)
+    sum = nl.add(sum, products[i]);
+  std::uint32_t previous = ~0u;
+  for (std::uint32_t muls = 1; muls <= 12; ++muls) {
+    const std::uint32_t latency =
+        nl.schedule({.multipliers = muls}).latency_cycles;
+    EXPECT_LE(latency, previous) << muls << " multipliers";
+    previous = latency;
+  }
+  EXPECT_GT(nl.schedule({.multipliers = 1}).latency_cycles,
+            nl.schedule({.multipliers = 4}).latency_cycles);
+  EXPECT_EQ(nl.schedule({.multipliers = 12}).latency_cycles,
+            nl.schedule().latency_cycles);
+}
+
+TEST(Dataflow, ConstrainedRespectsDependencies) {
+  Netlist nl = tiny();
+  const NetId in = nl.input(0);
+  const NetId m1 = mul_of(nl, in);
+  const NetId m2 = mul_of(nl, m1);
+  const NetId a = nl.add(m2, m1);
+  for (const OperatorAllocation alloc :
+       {OperatorAllocation{}, OperatorAllocation{.multipliers = 1},
+        OperatorAllocation{.multipliers = 2, .adders = 1}}) {
+    const Schedule sched = nl.schedule(alloc);
+    for (NetId id = 0; id < nl.num_nodes(); ++id)
+      for (NetId arg : nl.node(id).args)
+        EXPECT_GE(sched.start_cycle[id],
+                  sched.start_cycle[arg] + nl.node_latency(arg));
+    EXPECT_EQ(sched.latency_cycles,
+              sched.start_cycle[a] + hw_op_latency(HwOp::kAdd));
+  }
+}
+
+TEST(Dataflow, UnlimitedPoolsMatchAsap) {
+  Netlist nl = tiny();
+  const NetId m = mul_of(nl, nl.input(0));
+  LutRom rom;
+  rom.values.assign(4, 0);
+  const NetId s = nl.lut_rom(nl.add_lut(rom), m);
+  nl.add(s, m);
+  // No caps: every net starts the cycle its last operand is registered.
+  const Schedule sched = nl.schedule();
+  for (NetId id = 0; id < nl.num_nodes(); ++id) {
+    std::uint32_t ready = 0;
+    for (NetId arg : nl.node(id).args)
+      ready = std::max(ready, sched.start_cycle[arg] + nl.node_latency(arg));
+    EXPECT_EQ(sched.start_cycle[id], ready) << "net " << id;
+  }
+  EXPECT_EQ(sched.latency_cycles, hw_op_latency(HwOp::kMul) +
+                                      hw_op_latency(HwOp::kSigmoidLut) +
+                                      hw_op_latency(HwOp::kAdd));
+}
+
+TEST(Dataflow, ZeroAllocationThrows) {
+  Netlist nl = tiny();
+  mul_of(nl, nl.input(0));
+  EXPECT_THROW((void)nl.schedule({.multipliers = 0}), PreconditionError);
+  EXPECT_THROW((void)nl.total_resources({.adders = 0}), PreconditionError);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hw/netlist_sim.hpp"
 #include "ml/registry.hpp"
 #include "tests/ml/synthetic_data.hpp"
 #include "util/error.hpp"
@@ -9,13 +10,16 @@
 namespace hmd::hw {
 namespace {
 
+CompiledDesign compile_scheme(const std::string& scheme,
+                              const ml::Dataset& d) {
+  auto clf = ml::make_classifier(scheme);
+  clf->train(d);
+  return compile(*clf, {.num_features = d.num_features()});
+}
+
 std::vector<DesignPoint> explore_mlp() {
-  static const std::vector<DesignPoint> points = [] {
-    const auto d = ml::testdata::separable_binary();
-    auto mlp = ml::make_classifier("MLP");
-    mlp->train(d);
-    return explore_classifier(*mlp, d.num_features());
-  }();
+  static const std::vector<DesignPoint> points = explore_design_space(
+      compile_scheme("MLP", ml::testdata::separable_binary()));
   return points;
 }
 
@@ -73,22 +77,65 @@ TEST(Pareto, UnboundedPointHasLowestLatency) {
 TEST(Pareto, TinyClassifierCollapsesToOnePoint) {
   // A stump has no shared-pool pressure: every allocation gives the same
   // design, so the explored set collapses after deduplication.
-  const auto d = ml::testdata::separable_binary();
-  auto stump = ml::make_classifier("DecisionStump");
-  stump->train(d);
-  const auto points = explore_classifier(*stump, d.num_features());
+  const auto points = explore_design_space(
+      compile_scheme("DecisionStump", ml::testdata::separable_binary()));
   EXPECT_LE(points.size(), 3u);
   EXPECT_TRUE(points.front().pareto_optimal);
 }
 
 TEST(Pareto, RejectsEmptyPoolList) {
-  const auto d = ml::testdata::separable_binary();
-  auto clf = ml::make_classifier("SVM");
-  clf->train(d);
+  const CompiledDesign svm =
+      compile_scheme("SVM", ml::testdata::separable_binary());
   ParetoOptions options;
   options.pool_sizes.clear();
-  EXPECT_THROW((void)explore_classifier(*clf, 4, options),
+  EXPECT_THROW((void)explore_design_space(svm, options),
                hmd::PreconditionError);
+}
+
+TEST(Pareto, UnboundedAllocationReproducesTheReport) {
+  // One cost model: an allocation with no caps must reproduce report()
+  // field for field, and the sweep's fully parallel point must be that
+  // same design — no second estimator may drift from the netlist.
+  const auto d = ml::testdata::three_class();
+  for (const std::string& scheme : ml::rtl_schemes()) {
+    SCOPED_TRACE(scheme);
+    const CompiledDesign design = compile_scheme(scheme, d);
+    const Netlist& nl = design.netlist();
+    const SynthesisReport full = design.report();
+    EXPECT_EQ(full.latency_cycles,
+              NetlistSimulator(design).cycles_per_window());
+    // Caps at or above each pool's demand bind nothing either.
+    const auto demand = [&nl](std::initializer_list<NetOp> ops) {
+      std::uint32_t n = 1;
+      for (NetOp op : ops) n += static_cast<std::uint32_t>(nl.count_ops(op));
+      return n;
+    };
+    for (const OperatorAllocation& alloc :
+         {OperatorAllocation{},
+          OperatorAllocation{
+              .multipliers = demand({NetOp::kMul}),
+              .adders = demand({NetOp::kAdd}),
+              .comparators = demand({NetOp::kCmpLe, NetOp::kCmpGt})}}) {
+      const SynthesisReport r = design.report(alloc);
+      EXPECT_EQ(r.latency_cycles, full.latency_cycles);
+      EXPECT_EQ(r.resources.luts, full.resources.luts);
+      EXPECT_EQ(r.resources.ffs, full.resources.ffs);
+      EXPECT_EQ(r.resources.dsps, full.resources.dsps);
+      EXPECT_EQ(r.resources.brams, full.resources.brams);
+      EXPECT_EQ(r.energy_per_inference_pj, full.energy_per_inference_pj);
+    }
+
+    bool found = false;
+    for (const DesignPoint& p : explore_design_space(design)) {
+      if (p.allocation.multipliers || p.allocation.adders ||
+          p.allocation.comparators)
+        continue;
+      found = true;
+      EXPECT_EQ(p.latency_cycles, full.latency_cycles);
+      EXPECT_EQ(p.area_slices, full.area_slices());
+    }
+    EXPECT_TRUE(found) << "fully parallel point missing";
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// The deprecated emit_verilog() wrappers and the VerilogBackend they now
-// route through. Goldens are FNV-1a fingerprints of the full emitted text
-// per scheme — when an intentional emission change trips one, re-pin it
-// with the new value the failure message prints.
-#include "hw/rtl_emitter.hpp"
+// VerilogBackend: Verilog modules and self-checking testbenches rendered
+// from compiled netlists. Goldens are FNV-1a fingerprints of the full
+// emitted text per scheme — when an intentional emission change trips one,
+// re-pin it with the new value the failure message prints.
+#include "hw/verilog_backend.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "hw/backend.hpp"
 #include "hw/compile.hpp"
 #include "hw/fixed_point_eval.hpp"
-#include "hw/verilog_backend.hpp"
 #include "ml/decision_stump.hpp"
 #include "ml/j48.hpp"
 #include "ml/jrip.hpp"
@@ -38,6 +37,26 @@ std::size_t count_occurrences(const std::string& text,
     pos += needle.size();
   }
   return count;
+}
+
+/// compile() + VerilogBackend for a `num_features`-port module.
+std::string verilog_of(const ml::Classifier& clf, std::size_t num_features,
+                       const std::string& module_name) {
+  return compile(clf, {.num_features = num_features,
+                       .module_name = module_name})
+      .emit(VerilogBackend());
+}
+
+/// Self-checking testbench on a grid calibrated from `test`, exactly as
+/// evaluate_fixed_point calibrates.
+std::string testbench_of(const ml::Classifier& clf, const ml::Dataset& test,
+                         std::size_t num_vectors,
+                         const std::string& module_name) {
+  const CompiledDesign design =
+      compile(clf, {.num_features = test.num_features(),
+                    .module_name = module_name,
+                    .feature_absmax = calibrate_feature_absmax(test)});
+  return VerilogBackend().emit_testbench(design, test, num_vectors);
 }
 
 /// Structural sanity every emitted module must satisfy.
@@ -96,29 +115,17 @@ TEST(RtlEmitter, AllRtlSchemesEmitWellFormedModules) {
     SCOPED_TRACE(scheme);
     auto clf = ml::make_classifier(scheme);
     clf->train(d);
-    const std::string rtl = emit_verilog(*clf, d.num_features(), "det");
+    const std::string rtl = verilog_of(*clf, d.num_features(), "det");
     expect_well_formed(rtl, d.num_features());
     EXPECT_NE(rtl.find("// Scheme: " + scheme), std::string::npos);
   }
-}
-
-TEST(RtlEmitter, DeprecatedOverloadsMatchThePipeline) {
-  // The thin wrappers must be byte-identical to compile().emit(Verilog).
-  const auto d = separable_binary();
-  ml::J48 tree;
-  tree.train(d);
-  CompileOptions opts;
-  opts.num_features = d.num_features();
-  opts.module_name = "j48_det";
-  EXPECT_EQ(emit_verilog(tree, d.num_features(), "j48_det"),
-            compile(tree, std::move(opts)).emit(VerilogBackend()));
 }
 
 TEST(RtlEmitter, StumpComparesTheLearnedSplit) {
   const auto d = ml::testdata::single_feature_rule(300);
   ml::DecisionStump stump;
   stump.train(d);
-  const std::string rtl = emit_verilog(stump, 2, "stump_detector");
+  const std::string rtl = verilog_of(stump, 2, "stump_detector");
   expect_well_formed(rtl, 2);
   // The split feature's port feeds a comparator somewhere in the netlist.
   EXPECT_GE(count_occurrences(rtl, " <= "), 1u);
@@ -130,7 +137,7 @@ TEST(RtlEmitter, JRipEmitsOneConjunctionPerMultiConditionRule) {
   const auto d = separable_binary();
   ml::JRip rip;
   rip.train(d);
-  const std::string rtl = emit_verilog(rip, d.num_features(), "jrip_det");
+  const std::string rtl = verilog_of(rip, d.num_features(), "jrip_det");
   expect_well_formed(rtl, d.num_features());
   // An n-condition conjunction renders as n-1 "&&" joins.
   std::size_t joins = 0;
@@ -143,7 +150,7 @@ TEST(RtlEmitter, MulticlassEmitsArgmaxChain) {
   const auto d = three_class();
   auto mlr = ml::make_classifier("MLR");
   mlr->train(d);
-  const std::string rtl = emit_verilog(*mlr, d.num_features(), "mlr_det");
+  const std::string rtl = verilog_of(*mlr, d.num_features(), "mlr_det");
   expect_well_formed(rtl, d.num_features());
   EXPECT_NE(rtl.find("argmax chain"), std::string::npos);
   // 3 classes need 2 selector bits.
@@ -154,11 +161,11 @@ TEST(RtlEmitter, LutSchemesEmitRoms) {
   const auto d = three_class();
   auto nb = ml::make_classifier("NaiveBayes");
   nb->train(d);
-  const std::string nb_rtl = emit_verilog(*nb, d.num_features(), "nb_det");
+  const std::string nb_rtl = verilog_of(*nb, d.num_features(), "nb_det");
   EXPECT_NE(nb_rtl.find("Gaussian ROM"), std::string::npos);
   auto mlp = ml::make_classifier("MLP");
   mlp->train(d);
-  const std::string mlp_rtl = emit_verilog(*mlp, d.num_features(), "mlp_det");
+  const std::string mlp_rtl = verilog_of(*mlp, d.num_features(), "mlp_det");
   EXPECT_NE(mlp_rtl.find("sigmoid ROM"), std::string::npos);
 }
 
@@ -167,7 +174,7 @@ TEST(RtlEmitter, UnsupportedSchemesThrow) {
   for (const auto& scheme : {"ZeroR", "IBk", "Bagging"}) {
     auto clf = ml::make_classifier(scheme);
     clf->train(d);
-    EXPECT_THROW((void)emit_verilog(*clf, d.num_features(), "det"),
+    EXPECT_THROW((void)verilog_of(*clf, d.num_features(), "det"),
                  hmd::PreconditionError)
         << scheme;
   }
@@ -179,7 +186,7 @@ TEST(RtlEmitter, FeatureBeyondPortsThrows) {
   stump.train(d);
   if (stump.split_feature() > 0)
     EXPECT_THROW(
-        (void)emit_verilog(stump, stump.split_feature(), "det"),
+        (void)verilog_of(stump, stump.split_feature(), "det"),
         hmd::PreconditionError);
 }
 
@@ -187,7 +194,7 @@ TEST(RtlEmitter, ModuleNameHonored) {
   const auto d = separable_binary();
   ml::DecisionStump stump;
   stump.train(d);
-  const std::string rtl = emit_verilog(stump, 4, "my_special_detector");
+  const std::string rtl = verilog_of(stump, 4, "my_special_detector");
   EXPECT_NE(rtl.find("module my_special_detector ("), std::string::npos);
 }
 
@@ -195,14 +202,14 @@ TEST(RtlEmitter, DeterministicOutput) {
   const auto d = separable_binary();
   ml::JRip rip;
   rip.train(d);
-  EXPECT_EQ(emit_verilog(rip, 4, "a"), emit_verilog(rip, 4, "a"));
+  EXPECT_EQ(verilog_of(rip, 4, "a"), verilog_of(rip, 4, "a"));
 }
 
 TEST(RtlTestbench, SelfCheckingStructure) {
   const auto d = separable_binary();
   ml::JRip rip;
   rip.train(d);
-  const std::string tb = emit_verilog_testbench(rip, d, 10, "jrip_det");
+  const std::string tb = testbench_of(rip, d, 10, "jrip_det");
   EXPECT_NE(tb.find("module jrip_det_tb;"), std::string::npos);
   EXPECT_NE(tb.find("jrip_det dut ("), std::string::npos);
   EXPECT_EQ(count_occurrences(tb, "check("), 10u);  // one call per vector
@@ -214,7 +221,7 @@ TEST(RtlTestbench, ExpectedValuesMatchSimulatorDecisions) {
   const auto d = separable_binary();
   ml::DecisionStump stump;
   stump.train(d);
-  const std::string tb = emit_verilog_testbench(stump, d, 5, "det");
+  const std::string tb = testbench_of(stump, d, 5, "det");
   // Expected classes are the netlist simulator's decisions on the
   // dataset-calibrated grid — for an exact scheme that is also the C++
   // model's prediction over the quantized features.
@@ -236,7 +243,7 @@ TEST(RtlTestbench, ClampsVectorCountToTestSet) {
   const auto d = separable_binary(3);  // 6 rows total
   ml::DecisionStump stump;
   stump.train(d);
-  const std::string tb = emit_verilog_testbench(stump, d, 1000, "det");
+  const std::string tb = testbench_of(stump, d, 1000, "det");
   EXPECT_EQ(count_occurrences(tb, "check("), d.num_instances());
 }
 
