@@ -24,6 +24,10 @@ std::string PipelineConfig::cache_key() const {
   auto mix = [&h](std::uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };
+  // Cache format 2: cells are written with 17 significant digits, so a
+  // cached dataset is bit-identical to the collected one. Mixing the
+  // version keeps caches written with 6 digits from being reused.
+  mix(2);
   for (const auto& [cls, n] : composition.counts) {
     mix(static_cast<std::uint64_t>(cls));
     mix(n);

@@ -9,12 +9,11 @@
 #include "ml/decision_stump.hpp"
 #include "ml/j48.hpp"
 #include "ml/jrip.hpp"
-#include "ml/logistic.hpp"
+#include "ml/linear.hpp"
 #include "ml/mlp.hpp"
 #include "ml/naive_bayes.hpp"
 #include "ml/one_r.hpp"
 #include "ml/registry.hpp"
-#include "ml/svm.hpp"
 #include "util/error.hpp"
 
 namespace hmd::hw {
@@ -129,14 +128,14 @@ void lower_net_jrip(LowerCtx& ctx, const ml::JRip& model) {
   ctx.nl.set_output(decision);
 }
 
-/// Shared by MLR and SVM: per class a folded affine score over the raw
-/// input grid, then an argmax (softmax/sigmoid links are monotone, so the
-/// class decision needs neither). Weight rows are `d+1` wide, bias last,
+/// The linear family (MLR, SVM): per class a folded affine score over the
+/// raw input grid, then an argmax (softmax/sigmoid links are monotone, so
+/// the class decision needs neither). Weight rows are `d+1` wide, bias last,
 /// in standardized feature space; the standardizer and the per-feature
 /// input scales both fold into the baked constants.
-void lower_net_linear(LowerCtx& ctx,
-                      const std::vector<std::vector<double>>& weights,
-                      const ml::Standardizer& standardizer) {
+void lower_net_linear(LowerCtx& ctx, const ml::LinearModel& model) {
+  const std::vector<std::vector<double>>& weights = model.weights();
+  const ml::Standardizer& standardizer = model.standardizer();
   const std::size_t k = weights.size();
   HMD_REQUIRE(k >= 2, "compile: linear model is not trained");
   const std::size_t d = standardizer.num_features();
@@ -366,9 +365,7 @@ bool compile_supported(const ml::Classifier& clf) {
 std::vector<double> model_feature_absmax(const ml::Classifier& clf,
                                          std::size_t num_features) {
   const ml::Classifier& u = clf.unwrap();
-  if (const auto* m = dynamic_cast<const ml::Logistic*>(&u))
-    return standardizer_absmax(m->standardizer(), num_features);
-  if (const auto* m = dynamic_cast<const ml::LinearSvm*>(&u))
+  if (const auto* m = dynamic_cast<const ml::LinearModel*>(&u))
     return standardizer_absmax(m->standardizer(), num_features);
   if (const auto* m = dynamic_cast<const ml::Mlp*>(&u))
     return standardizer_absmax(m->standardizer(), num_features);
@@ -449,10 +446,8 @@ Result<CompiledDesign> try_compile(const ml::Classifier& clf,
       lower_net_jrip(ctx, *rip);
     else if (const auto* nb = dynamic_cast<const ml::NaiveBayes*>(&u))
       lower_net_naive_bayes(ctx, *nb, absmax, options.lut_size);
-    else if (const auto* mlr = dynamic_cast<const ml::Logistic*>(&u))
-      lower_net_linear(ctx, mlr->weights(), mlr->standardizer());
-    else if (const auto* svm = dynamic_cast<const ml::LinearSvm*>(&u))
-      lower_net_linear(ctx, svm->weights(), svm->standardizer());
+    else if (const auto* linear = dynamic_cast<const ml::LinearModel*>(&u))
+      lower_net_linear(ctx, *linear);
     else if (const auto* mlp = dynamic_cast<const ml::Mlp*>(&u))
       lower_net_mlp(ctx, *mlp, options.lut_size);
     else

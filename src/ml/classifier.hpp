@@ -48,9 +48,9 @@ class Classifier {
   virtual std::string name() const = 0;
 
   /// The underlying scheme object. Identity for concrete schemes;
-  /// decorators (InstrumentedClassifier) forward to the wrapped model so
-  /// dynamic_cast-dispatched consumers (hardware lowering, serialization)
-  /// see the concrete type.
+  /// decorators (InstrumentedClassifier, QuantizedModel) forward to the
+  /// wrapped model so scheme-dependent consumers (hardware lowering,
+  /// serialization, the quantized tiers) see the concrete scheme.
   virtual const Classifier& unwrap() const { return *this; }
 
   /// Number of classes the trained model distinguishes (0 before train()).

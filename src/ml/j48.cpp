@@ -128,6 +128,10 @@ double pessimistic_error_count_z(std::size_t n, std::size_t errors,
 /// equal values cannot change the counts at distinct-value boundaries, and
 /// all ties fall on one side of any threshold).
 struct TreeBuilder {
+  TreeBuilder(const J48::Params& p, std::size_t k, std::size_t d,
+              std::size_t rows)
+      : params(p), num_classes(k), num_features(d), n(rows) {}
+
   const J48::Params& params;
   std::size_t num_classes;
   std::size_t num_features;
@@ -315,10 +319,7 @@ void J48::train(const DatasetView& data) {
   HMD_REQUIRE(num_classes_ <= 65535, "J48: too many classes");
   const std::size_t n = data.num_instances();
 
-  TreeBuilder builder{.params = params_,
-                      .num_classes = num_classes_,
-                      .num_features = data.num_features(),
-                      .n = n};
+  TreeBuilder builder(params_, num_classes_, data.num_features(), n);
   std::vector<double> col_scratch;
   builder.cols = data.feature_columns(col_scratch);
   builder.classes.resize(n);

@@ -333,10 +333,21 @@ __attribute__((target("avx512f"))) double bound_avx512(
     const __m512d xv = _mm512_loadu_pd(x + j);
     const __m512d a = _mm512_sub_pd(_mm512_loadu_pd(lo + j), xv);
     const __m512d b = _mm512_sub_pd(xv, _mm512_loadu_pd(hi + j));
-    const __m512d t = _mm512_max_pd(_mm512_max_pd(a, b), zero);
+    // All-lanes maskz form of _mm512_max_pd (same vmaxpd): the plain
+    // intrinsic's expansion reads an undefined source register that GCC 12
+    // flags under -Wmaybe-uninitialized.
+    const __m512d t =
+        _mm512_maskz_max_pd(0xFF, _mm512_maskz_max_pd(0xFF, a, b), zero);
     acc = _mm512_fmadd_pd(t, t, acc);
   }
-  double s = _mm512_reduce_add_pd(acc);
+  // Horizontal sum in _mm512_reduce_add_pd's pairwise order (upper half
+  // onto lower half, twice, then the last pair), spelled out through memory
+  // for the same GCC 12 warning.
+  alignas(64) double lane[8];
+  _mm512_store_pd(lane, acc);
+  const double q0 = (lane[4] + lane[0]) + (lane[6] + lane[2]);
+  const double q1 = (lane[5] + lane[1]) + (lane[7] + lane[3]);
+  double s = q0 + q1;
   for (; j < d; ++j) {
     const double a = lo[j] - x[j];
     const double b = x[j] - hi[j];

@@ -1,40 +1,19 @@
 #include "ml/logistic.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "ml/kernels.hpp"
-#include "util/error.hpp"
 
 namespace hmd::ml {
 
-void softmax_inplace(std::vector<double>& logits) {
-  HMD_REQUIRE(!logits.empty(), "softmax of empty vector");
-  const double mx = *std::max_element(logits.begin(), logits.end());
-  double total = 0.0;
-  for (double& v : logits) {
-    v = std::exp(v - mx);
-    total += v;
-  }
-  for (double& v : logits) v /= total;
-}
-
 void Logistic::train(const DatasetView& data) {
   require_trainable(data);
-  standardizer_.fit(data);
+  // Pre-standardize the training matrix once, into one contiguous block.
+  const StandardizedRows rows = fit_standardized(standardizer_, data);
+  const std::vector<double>& x = rows.x;
   const std::size_t k = data.num_classes();
   const std::size_t d = data.num_features();
   const std::size_t n = data.num_instances();
-
-  // Pre-standardize the training matrix once, into one contiguous block.
-  std::vector<double> x(n * d);
-  std::vector<std::size_t> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    kernels::standardize_into(data.features_of(i), standardizer_.means(),
-                              standardizer_.stddevs(),
-                              {x.data() + i * d, d});
-    labels[i] = data.class_of(i);
-  }
 
   weights_.assign(k, std::vector<double>(d + 1, 0.0));
   std::vector<std::vector<double>> velocity(k,
@@ -51,7 +30,7 @@ void Logistic::train(const DatasetView& data) {
         logits[c] = kernels::dot({weights_[c].data(), d}, xi, weights_[c][d]);
       }
       softmax_inplace(logits);
-      const std::size_t y = labels[i];
+      const std::size_t y = rows.labels[i];
       for (std::size_t c = 0; c < k; ++c) {
         const double err = logits[c] - (c == y ? 1.0 : 0.0);
         kernels::axpy(err, xi, {grad[c].data(), d});
@@ -71,62 +50,6 @@ void Logistic::train(const DatasetView& data) {
     }
   }
   build_packed();
-}
-
-void Logistic::build_packed() {
-  packed_ = kernels::pack_weights_feature_major(weights_);
-}
-
-std::vector<double> Logistic::distribution(
-    std::span<const double> features) const {
-  HMD_REQUIRE(!weights_.empty(), "Logistic: predict before train");
-  const std::vector<double> x = standardizer_.transform(features);
-  std::vector<double> logits(weights_.size());
-  for (std::size_t c = 0; c < weights_.size(); ++c)
-    logits[c] = kernels::affine_bias_last(weights_[c], x);
-  softmax_inplace(logits);
-  return logits;
-}
-
-void Logistic::distribution_batch(std::span<const double> flat,
-                                  std::size_t window_size,
-                                  std::span<double> out) const {
-  HMD_REQUIRE(!weights_.empty(), "Logistic: predict before train");
-  const std::size_t rows = require_batch(flat, window_size, out);
-  const std::size_t k = weights_.size();
-  const std::vector<double>& mean = standardizer_.means();
-  const std::vector<double>& stddev = standardizer_.stddevs();
-  HMD_REQUIRE(window_size == mean.size(),
-              "Logistic::distribution_batch: width mismatch");
-
-  // Chunked GEMM: standardize a block of rows into one contiguous scratch
-  // buffer, compute every logit of the block in a single affine_batch call
-  // (bit-identical to per-row affine_bias_last), then softmax each output
-  // slice in place. The chunk bounds scratch memory for huge batches while
-  // keeping the kernel's row blocking effective.
-  constexpr std::size_t kChunkRows = 128;
-  std::vector<double> x(std::min(rows, kChunkRows) * window_size);
-  for (std::size_t base = 0; base < rows; base += kChunkRows) {
-    const std::size_t lim = std::min(kChunkRows, rows - base);
-    kernels::standardize_rows(flat.data() + base * window_size, lim, mean,
-                              stddev, x.data());
-    kernels::affine_batch(x.data(), lim, window_size, packed_.data(), k,
-                          out.data() + base * k);
-    for (std::size_t r = 0; r < lim; ++r) {
-      const std::span<double> logits = out.subspan((base + r) * k, k);
-      // Stable softmax in place in the output slice. The max element's
-      // shifted logit is exactly 0.0 and std::exp(0.0) is exactly 1.0, so
-      // skipping the libm call there changes nothing but the call count.
-      const double mx = *std::max_element(logits.begin(), logits.end());
-      double total = 0.0;
-      for (double& v : logits) {
-        const double t = v - mx;
-        v = t == 0.0 ? 1.0 : std::exp(t);
-        total += v;
-      }
-      for (double& v : logits) v /= total;
-    }
-  }
 }
 
 std::size_t Logistic::predict(std::span<const double> features) const {

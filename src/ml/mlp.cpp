@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "ml/kernels.hpp"
-#include "ml/logistic.hpp"  // softmax_inplace
+#include "ml/linear.hpp"  // softmax_inplace, apply_link, fit_standardized
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -17,22 +17,15 @@ double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
 void Mlp::train(const DatasetView& data) {
   require_trainable(data);
-  standardizer_.fit(data);
+  const StandardizedRows rows = fit_standardized(standardizer_, data);
+  const std::vector<double>& x = rows.x;
+  const std::vector<std::size_t>& labels = rows.labels;
   const std::size_t k = data.num_classes();
   const std::size_t d = data.num_features();
   const std::size_t n = data.num_instances();
   const std::size_t h =
       params_.hidden_units > 0 ? params_.hidden_units : (d + k) / 2;
   HMD_REQUIRE(h > 0, "MLP needs at least one hidden unit");
-
-  std::vector<double> x(n * d);  // standardized rows, contiguous
-  std::vector<std::size_t> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    kernels::standardize_into(data.features_of(i), standardizer_.means(),
-                              standardizer_.stddevs(),
-                              {x.data() + i * d, d});
-    labels[i] = data.class_of(i);
-  }
 
   Rng rng(params_.seed);
   auto init = [&](std::size_t fan_in) {
@@ -156,18 +149,7 @@ void Mlp::distribution_batch(std::span<const double> flat,
     for (std::size_t i = 0; i < lim * h; ++i) hidden[i] = sigmoid(hidden[i]);
     kernels::affine_batch(hidden.data(), lim, h, packed2_.data(), k,
                           out.data() + base * k);
-    for (std::size_t r = 0; r < lim; ++r) {
-      const std::span<double> logits = out.subspan((base + r) * k, k);
-      // exp(0.0) == 1.0 exactly, so the max element skips the libm call.
-      const double mx = *std::max_element(logits.begin(), logits.end());
-      double total = 0.0;
-      for (double& v : logits) {
-        const double t = v - mx;
-        v = t == 0.0 ? 1.0 : std::exp(t);
-        total += v;
-      }
-      for (double& v : logits) v /= total;
-    }
+    apply_link(LinearLink::kSoftmax, out.data() + base * k, lim, k);
   }
 }
 

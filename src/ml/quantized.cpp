@@ -4,9 +4,8 @@
 #include <cmath>
 
 #include "ml/kernels.hpp"
-#include "ml/logistic.hpp"
+#include "ml/linear.hpp"
 #include "ml/mlp.hpp"
-#include "ml/svm.hpp"
 #include "util/error.hpp"
 #include "util/fixed_point.hpp"
 
@@ -25,31 +24,9 @@ std::int8_t quantize_i8(double v) {
   return static_cast<std::int8_t>(std::clamp(q, -127LL, 127LL));
 }
 
-void softmax_span(std::span<double> logits) {
-  const double mx = *std::max_element(logits.begin(), logits.end());
-  double total = 0.0;
-  for (double& v : logits) {
-    v = std::exp(v - mx);
-    total += v;
-  }
-  for (double& v : logits) v /= total;
-}
-
-void sigmoid_norm_span(std::span<double> margins) {
-  double total = 0.0;
-  for (double& v : margins) {
-    v = 1.0 / (1.0 + std::exp(-v));
-    total += v;
-  }
-  if (total > 0.0)
-    for (double& v : margins) v /= total;
-}
-
 const Standardizer* find_standardizer(const Classifier& c) {
   const Classifier& u = c.unwrap();
-  if (const auto* p = dynamic_cast<const Logistic*>(&u))
-    return &p->standardizer();
-  if (const auto* p = dynamic_cast<const LinearSvm*>(&u))
+  if (const auto* p = dynamic_cast<const LinearModel*>(&u))
     return &p->standardizer();
   if (const auto* p = dynamic_cast<const Mlp*>(&u)) return &p->standardizer();
   return nullptr;
@@ -58,13 +35,6 @@ const Standardizer* find_standardizer(const Classifier& c) {
 }  // namespace
 
 bool QuantizedModel::int8_supported(const Classifier& base) {
-  const Classifier& u = base.unwrap();
-  return dynamic_cast<const Logistic*>(&u) != nullptr ||
-         dynamic_cast<const LinearSvm*>(&u) != nullptr ||
-         dynamic_cast<const Mlp*>(&u) != nullptr;
-}
-
-bool QuantizedModel::q16_supported(const Classifier& base) {
   return find_standardizer(base) != nullptr;
 }
 
@@ -171,15 +141,12 @@ void QuantizedModel::build_int8() {
   };
 
   layers_.clear();
-  if (const auto* lr = dynamic_cast<const Logistic*>(&u)) {
-    link_ = Link::kSoftmax;
-    layers_.push_back(fold(lr->weights(), mean, sd, in_scale_));
-  } else if (const auto* svm = dynamic_cast<const LinearSvm*>(&u)) {
-    link_ = Link::kSigmoidNorm;
-    layers_.push_back(fold(svm->weights(), mean, sd, in_scale_));
+  if (const auto* linear = dynamic_cast<const LinearModel*>(&u)) {
+    link_ = linear->link();
+    layers_.push_back(fold(linear->weights(), mean, sd, in_scale_));
   } else {
     const auto* m = dynamic_cast<const Mlp*>(&u);
-    link_ = Link::kMlp;
+    link_ = LinearLink::kSoftmax;
     layers_.push_back(fold(m->w1(), mean, sd, in_scale_));
     // Hidden activations are sigmoids in (0, 1); they requantize with the
     // fixed scale 127, folded into the second layer here.
@@ -213,16 +180,12 @@ void QuantizedModel::int8_batch(const double* flat, std::size_t rows,
   kernels::gemm_i8_i32(q.data(), rows, d, l1.w.data(), l1.out, acc.data());
 
   if (layers_.size() == 1) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::span<double> row{out + r * l1.out, l1.out};
+    for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t c = 0; c < l1.out; ++c)
-        row[c] = l1.row_scale[c] * static_cast<double>(acc[r * l1.out + c]) +
-                 l1.bias[c];
-      if (link_ == Link::kSoftmax)
-        softmax_span(row);
-      else
-        sigmoid_norm_span(row);
-    }
+        out[r * l1.out + c] =
+            l1.row_scale[c] * static_cast<double>(acc[r * l1.out + c]) +
+            l1.bias[c];
+    apply_link(link_, out, rows, l1.out);
     return;
   }
 
@@ -239,13 +202,12 @@ void QuantizedModel::int8_batch(const double* flat, std::size_t rows,
   std::vector<std::int32_t> acc2(rows * l2.out);
   kernels::gemm_i8_i32(qh.data(), rows, l1.out, l2.w.data(), l2.out,
                        acc2.data());
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::span<double> row{out + r * l2.out, l2.out};
+  for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t c = 0; c < l2.out; ++c)
-      row[c] = l2.row_scale[c] * static_cast<double>(acc2[r * l2.out + c]) +
-               l2.bias[c];
-    softmax_span(row);
-  }
+      out[r * l2.out + c] =
+          l2.row_scale[c] * static_cast<double>(acc2[r * l2.out + c]) +
+          l2.bias[c];
+  apply_link(link_, out, rows, l2.out);
 }
 
 std::size_t QuantizedModel::predict(std::span<const double> features) const {

@@ -22,6 +22,7 @@
 #include <memory>
 
 #include "ml/classifier.hpp"
+#include "ml/linear.hpp"
 
 namespace hmd::ml {
 
@@ -29,15 +30,12 @@ class QuantizedModel final : public Classifier {
  public:
   enum class Mode { kQ16Input, kInt8 };
 
-  /// True when `base` (after unwrapping decorators) has an int8 lowering.
+  /// True when `base` (after unwrapping decorators) is an affine scheme
+  /// (MLR, SVM, MLP): it has an int8 lowering, and its standardizer lets
+  /// kQ16Input derive the per-feature magnitudes without an explicit
+  /// calibration. The serving tier gates both quantized modes on this, so
+  /// other schemes keep the float path instead of throwing mid-serve.
   static bool int8_supported(const Classifier& base);
-
-  /// True when `base` can be wrapped in kQ16Input mode WITHOUT an explicit
-  /// calibration — i.e. the scheme exposes a standardizer to derive the
-  /// per-feature magnitudes from. The serving tier uses this gate the same
-  /// way int8_supported gates kInt8: unsupported schemes keep the float
-  /// path instead of throwing mid-serve.
-  static bool q16_supported(const Classifier& base);
 
   /// Wraps a trained model. `feature_absmax` (one per raw input feature)
   /// calibrates the input grids; when empty it is derived from the base
@@ -73,8 +71,6 @@ class QuantizedModel final : public Classifier {
     std::size_t in = 0;
     std::size_t out = 0;
   };
-  enum class Link { kSoftmax, kSigmoidNorm, kMlp };
-
   void build_q16();
   void build_int8();
   /// Full int8 forward pass for `rows` raw rows into out (rows x classes).
@@ -87,7 +83,7 @@ class QuantizedModel final : public Classifier {
   std::vector<double> absmax_;     ///< per raw feature, >= 1e-12
   std::vector<double> q16_scale_;  ///< kQ16Input: per-feature pre-scale
   std::vector<double> in_scale_;   ///< kInt8: 127/absmax per raw feature
-  Link link_ = Link::kSoftmax;
+  LinearLink link_ = LinearLink::kSoftmax;  ///< applied to the last stage
   std::vector<Int8Layer> layers_;  ///< 1 (linear) or 2 (MLP) stages
 };
 

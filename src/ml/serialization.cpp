@@ -3,7 +3,8 @@
 #include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <span>
+#include <type_traits>
 
 #include "ml/anomaly.hpp"
 #include "ml/decision_stump.hpp"
@@ -16,6 +17,7 @@
 #include "ml/naive_bayes.hpp"
 #include "ml/one_class.hpp"
 #include "ml/one_r.hpp"
+#include "ml/registry.hpp"
 #include "ml/svm.hpp"
 #include "ml/zero_r.hpp"
 #include "util/error.hpp"
@@ -64,34 +66,55 @@ class Reader {
     return tokens;
   }
 
-  std::size_t expect_size(const std::string& key) {
+  /// Next line must be `key <value>`; returns the value token.
+  std::string expect_one(const std::string& key) {
     const auto tokens = expect(key);
     if (tokens.size() != 1)
       throw ParseError("model: '" + key + "' needs one value");
-    return static_cast<std::size_t>(parse_int(tokens[0]));
+    return tokens[0];
+  }
+
+  std::size_t expect_size(const std::string& key) {
+    return static_cast<std::size_t>(parse_int(expect_one(key)));
   }
 
  private:
   std::istream& in_;
 };
 
+/// Class index `token` of the named field, checked against the header's
+/// class count so a corrupt file fails here rather than at the first
+/// prediction.
+std::size_t class_index(const std::string& token, std::size_t classes,
+                        const std::string& field) {
+  const long long v = parse_int(token);
+  if (v < 0 || static_cast<unsigned long long>(v) >= classes)
+    throw ParseError("model: " + field + " " + token + " out of range for " +
+                     std::to_string(classes) + " classes");
+  return static_cast<std::size_t>(v);
+}
+
 void write_vector(std::ostream& out, const std::string& key,
-                  const std::vector<double>& v) {
+                  std::span<const double> v) {
   out << key;
   for (double x : v) out << ' ' << enc(x);
   out << '\n';
 }
 
+/// Every value on the `key` line, however many there are.
+std::vector<double> read_doubles(Reader& reader, const std::string& key) {
+  std::vector<double> v;
+  for (const auto& t : reader.expect(key)) v.push_back(dec(t));
+  return v;
+}
+
 std::vector<double> read_vector(Reader& reader, const std::string& key,
                                 std::size_t expected) {
-  const auto tokens = reader.expect(key);
-  if (tokens.size() != expected)
+  std::vector<double> v = read_doubles(reader, key);
+  if (v.size() != expected)
     throw ParseError("model: '" + key + "' expected " +
                      std::to_string(expected) + " values, got " +
-                     std::to_string(tokens.size()));
-  std::vector<double> v;
-  v.reserve(tokens.size());
-  for (const auto& t : tokens) v.push_back(dec(t));
+                     std::to_string(v.size()));
   return v;
 }
 
@@ -109,15 +132,32 @@ std::vector<std::vector<double>> read_matrix(Reader& reader,
   const auto rows = static_cast<std::size_t>(parse_int(dims[0]));
   const auto cols = static_cast<std::size_t>(parse_int(dims[1]));
   std::vector<std::vector<double>> m;
-  m.reserve(rows);
   for (std::size_t r = 0; r < rows; ++r)
     m.push_back(read_vector(reader, "row", cols));
   return m;
 }
 
-void write_standardizer(std::ostream& out, const Standardizer& s) {
-  write_vector(out, "standardizer_mean", s.means());
-  write_vector(out, "standardizer_sd", s.stddevs());
+/// Flat row-major points of width `dim`, written in write_matrix's layout
+/// (one "row" line per point).
+void write_points(std::ostream& out, const std::vector<double>& flat,
+                  std::size_t dim) {
+  const std::size_t n = dim == 0 ? 0 : flat.size() / dim;
+  out << "points " << n << ' ' << (n == 0 ? 0 : dim) << '\n';
+  for (std::size_t r = 0; r < n; ++r)
+    write_vector(out, "row", {flat.data() + r * dim, dim});
+}
+
+/// Reads a write_points block of at least one point, each `dim` wide.
+std::vector<double> read_points(Reader& reader, std::size_t dim,
+                                const std::string& scheme) {
+  std::vector<double> flat;
+  for (const auto& row : read_matrix(reader, "points")) {
+    if (row.size() != dim)
+      throw ParseError("model: " + scheme + " point width mismatch");
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  if (flat.empty()) throw ParseError("model: " + scheme + " has no points");
+  return flat;
 }
 
 void write_j48_node(std::ostream& out, const J48::Node& node) {
@@ -132,12 +172,13 @@ void write_j48_node(std::ostream& out, const J48::Node& node) {
   write_j48_node(out, *node.right);
 }
 
-std::unique_ptr<J48::Node> read_j48_node(Reader& reader) {
+std::unique_ptr<J48::Node> read_j48_node(Reader& reader,
+                                         std::size_t classes) {
   const auto tokens = reader.line();
   auto node = std::make_unique<J48::Node>();
   if (tokens.front() == "leaf") {
     if (tokens.size() != 4) throw ParseError("model: bad leaf line");
-    node->cls = static_cast<std::size_t>(parse_int(tokens[1]));
+    node->cls = class_index(tokens[1], classes, "J48 leaf class");
     node->n = static_cast<std::size_t>(parse_int(tokens[2]));
     node->errors = static_cast<std::size_t>(parse_int(tokens[3]));
     return node;
@@ -146,24 +187,38 @@ std::unique_ptr<J48::Node> read_j48_node(Reader& reader) {
     throw ParseError("model: bad tree line");
   node->feature = static_cast<std::size_t>(parse_int(tokens[1]));
   node->threshold = dec(tokens[2]);
-  node->cls = static_cast<std::size_t>(parse_int(tokens[3]));
+  node->cls = class_index(tokens[3], classes, "J48 split class");
   node->n = static_cast<std::size_t>(parse_int(tokens[4]));
   node->errors = static_cast<std::size_t>(parse_int(tokens[5]));
-  node->left = read_j48_node(reader);
-  node->right = read_j48_node(reader);
+  node->left = read_j48_node(reader, classes);
+  node->right = read_j48_node(reader, classes);
   return node;
 }
 
+/// Scheme-dispatched body save shared by save_model and nested committee
+/// members; throws PreconditionError for schemes without a codec.
+void save_body(std::ostream& out, const Classifier& wrapped);
+/// Scheme-dispatched body load; throws ParseError for unknown schemes.
+std::unique_ptr<Classifier> load_body(Reader& reader,
+                                      const std::string& scheme,
+                                      std::size_t classes);
+
 }  // namespace
 
-/// Private-state access point (befriended by the supported classifiers).
+/// Private-state access point (befriended by the supported classifiers):
+/// one save and one load per scheme family, registered in kCodecs below.
 struct ModelIo {
-  // ----- save ------------------------------------------------------------
   static void save(std::ostream& out, const ZeroR& m) {
     HMD_REQUIRE(!m.priors_.empty(), "save_model: untrained ZeroR");
     out << "majority " << m.majority_ << '\n';
     write_vector(out, "priors", m.priors_);
   }
+  static void load(Reader& in, std::size_t classes, ZeroR& m) {
+    m.majority_ = class_index(in.expect_one("majority"), classes,
+                              "ZeroR majority");
+    m.priors_ = read_vector(in, "priors", classes);
+  }
+
   static void save(std::ostream& out, const OneR& m) {
     HMD_REQUIRE(m.trained_, "save_model: untrained OneR");
     out << "feature " << m.feature_ << '\n';
@@ -172,15 +227,49 @@ struct ModelIo {
     for (const auto& iv : m.intervals_)
       out << "interval " << enc(iv.upper_bound) << ' ' << iv.cls << '\n';
   }
+  static void load(Reader& in, std::size_t classes, OneR& m) {
+    m.num_classes_ = classes;
+    m.feature_ = in.expect_size("feature");
+    m.training_error_ = dec(in.expect_one("training_error"));
+    const std::size_t n = in.expect_size("intervals");
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto tokens = in.expect("interval");
+      if (tokens.size() != 2) throw ParseError("model: bad interval");
+      m.intervals_.push_back(
+          {.upper_bound = dec(tokens[0]),
+           .cls = class_index(tokens[1], classes, "OneR interval class")});
+    }
+    if (m.intervals_.empty()) throw ParseError("model: OneR no intervals");
+    m.trained_ = true;
+  }
+
   static void save(std::ostream& out, const DecisionStump& m) {
     HMD_REQUIRE(m.trained_, "save_model: untrained DecisionStump");
     out << "split " << m.feature_ << ' ' << enc(m.threshold_) << ' '
         << m.left_class_ << ' ' << m.right_class_ << '\n';
   }
+  static void load(Reader& in, std::size_t classes, DecisionStump& m) {
+    m.num_classes_ = classes;
+    const auto tokens = in.expect("split");
+    if (tokens.size() != 4) throw ParseError("model: bad stump");
+    m.feature_ = static_cast<std::size_t>(parse_int(tokens[0]));
+    m.threshold_ = dec(tokens[1]);
+    m.left_class_ =
+        class_index(tokens[2], classes, "DecisionStump left class");
+    m.right_class_ =
+        class_index(tokens[3], classes, "DecisionStump right class");
+    m.trained_ = true;
+  }
+
   static void save(std::ostream& out, const J48& m) {
     HMD_REQUIRE(m.root_ != nullptr, "save_model: untrained J48");
     write_j48_node(out, *m.root_);
   }
+  static void load(Reader& in, std::size_t classes, J48& m) {
+    m.num_classes_ = classes;
+    m.root_ = read_j48_node(in, classes);
+  }
+
   static void save(std::ostream& out, const JRip& m) {
     HMD_REQUIRE(m.trained_, "save_model: untrained JRip");
     out << "default " << m.default_class_ << '\n';
@@ -192,28 +281,87 @@ struct ModelIo {
             << ' ' << enc(cond.threshold) << '\n';
     }
   }
+  static void load(Reader& in, std::size_t classes, JRip& m) {
+    m.num_classes_ = classes;
+    m.default_class_ =
+        class_index(in.expect_one("default"), classes, "JRip default class");
+    const std::size_t n_rules = in.expect_size("rules");
+    for (std::size_t r = 0; r < n_rules; ++r) {
+      const auto head = in.expect("rule");
+      if (head.size() != 2) throw ParseError("model: bad rule header");
+      JRip::Rule rule;
+      rule.cls = class_index(head[0], classes, "JRip rule class");
+      const auto n_conds = static_cast<std::size_t>(parse_int(head[1]));
+      for (std::size_t c = 0; c < n_conds; ++c) {
+        const auto tokens = in.expect("cond");
+        if (tokens.size() != 3) throw ParseError("model: bad condition");
+        rule.conditions.push_back(
+            {.feature = static_cast<std::size_t>(parse_int(tokens[0])),
+             .greater = parse_int(tokens[1]) != 0,
+             .threshold = dec(tokens[2])});
+      }
+      m.rules_.push_back(std::move(rule));
+    }
+    m.trained_ = true;
+  }
+
   static void save(std::ostream& out, const NaiveBayes& m) {
     HMD_REQUIRE(!m.priors_.empty(), "save_model: untrained NaiveBayes");
     write_vector(out, "priors", m.priors_);
     write_matrix(out, "means", m.mean_);
     write_matrix(out, "variances", m.var_);
   }
-  static void save(std::ostream& out, const Logistic& m) {
-    HMD_REQUIRE(!m.weights_.empty(), "save_model: untrained MLR");
+  static void load(Reader& in, std::size_t classes, NaiveBayes& m) {
+    m.priors_ = read_doubles(in, "priors");
+    m.mean_ = read_matrix(in, "means");
+    m.var_ = read_matrix(in, "variances");
+    if (m.priors_.size() != classes || m.mean_.size() != classes ||
+        m.var_.size() != classes)
+      throw ParseError("model: NaiveBayes shape mismatch");
+  }
+
+  static void write_standardizer(std::ostream& out, const Standardizer& s) {
+    write_vector(out, "standardizer_mean", s.means());
+    write_vector(out, "standardizer_sd", s.stddevs());
+  }
+  static Standardizer read_standardizer(Reader& in) {
+    Standardizer s;
+    s.mean_ = read_doubles(in, "standardizer_mean");
+    s.stddev_ = read_doubles(in, "standardizer_sd");
+    if (s.mean_.size() != s.stddev_.size())
+      throw ParseError("model: standardizer width mismatch");
+    return s;
+  }
+
+  /// MLR and SVM: the shared linear core's standardizer and weights.
+  static void save(std::ostream& out, const LinearModel& m) {
+    HMD_REQUIRE(!m.weights_.empty(), "save_model: untrained " + m.name());
     write_standardizer(out, m.standardizer_);
     write_matrix(out, "weights", m.weights_);
   }
-  static void save(std::ostream& out, const LinearSvm& m) {
-    HMD_REQUIRE(!m.weights_.empty(), "save_model: untrained SVM");
-    write_standardizer(out, m.standardizer_);
-    write_matrix(out, "weights", m.weights_);
+  static void load(Reader& in, std::size_t classes, LinearModel& m) {
+    m.standardizer_ = read_standardizer(in);
+    m.weights_ = read_matrix(in, "weights");
+    if (m.weights_.size() != classes)
+      throw ParseError("model: " + m.name() + " shape mismatch");
+    m.build_packed();
   }
+
   static void save(std::ostream& out, const Mlp& m) {
     HMD_REQUIRE(!m.w2_.empty(), "save_model: untrained MLP");
     write_standardizer(out, m.standardizer_);
     write_matrix(out, "w1", m.w1_);
     write_matrix(out, "w2", m.w2_);
   }
+  static void load(Reader& in, std::size_t classes, Mlp& m) {
+    m.standardizer_ = read_standardizer(in);
+    m.w1_ = read_matrix(in, "w1");
+    m.w2_ = read_matrix(in, "w2");
+    if (m.w2_.size() != classes)
+      throw ParseError("model: MLP shape mismatch");
+    m.build_packed();
+  }
+
   static void save(std::ostream& out, const Knn& m) {
     HMD_REQUIRE(!m.points_.empty(), "save_model: untrained IBk");
     out << "k " << m.k_ << '\n';
@@ -221,41 +369,67 @@ struct ModelIo {
     out << "labels";
     for (std::size_t l : m.labels_) out << ' ' << l;
     out << '\n';
-    // points_ is stored flat row-major; the on-disk format stays one row
-    // per reference point.
-    const std::size_t dim = m.standardizer_.means().size();
-    const std::size_t n = dim == 0 ? 0 : m.points_.size() / dim;
-    std::vector<std::vector<double>> rows(n);
-    for (std::size_t r = 0; r < n; ++r)
-      rows[r].assign(m.points_.begin() + static_cast<std::ptrdiff_t>(r * dim),
-                     m.points_.begin() +
-                         static_cast<std::ptrdiff_t>((r + 1) * dim));
-    write_matrix(out, "points", rows);
+    write_points(out, m.points_, m.standardizer_.means().size());
   }
-  static void save(std::ostream& out, const AnomalyClassifier& m) {
-    const MahalanobisDetector& d = m.detector_;
-    HMD_REQUIRE(d.fitted(), "save_model: untrained Mahalanobis");
+  static void load(Reader& in, std::size_t classes, Knn& m) {
+    m.num_classes_ = classes;
+    m.k_ = in.expect_size("k");
+    m.standardizer_ = read_standardizer(in);
+    for (const auto& t : in.expect("labels"))
+      m.labels_.push_back(class_index(t, classes, "IBk label"));
+    m.points_ = read_points(in, m.standardizer_.means().size(), "IBk");
+    if (m.points_.size() != m.labels_.size() * m.standardizer_.means().size())
+      throw ParseError("model: IBk shape mismatch");
+    m.build_quantized();
+    m.build_index();
+  }
+
+  /// The mean/precision block both Mahalanobis schemes store.
+  static void save_detector(std::ostream& out, const MahalanobisDetector& d) {
     write_vector(out, "mean", d.mean_);
-    std::vector<std::vector<double>> precision(d.precision_.rows());
-    for (std::size_t r = 0; r < d.precision_.rows(); ++r) {
-      const auto row = d.precision_.row(r);
-      precision[r].assign(row.begin(), row.end());
-    }
-    write_matrix(out, "precision", precision);
-    out << "threshold " << enc(d.threshold_) << '\n';
+    out << "precision " << d.precision_.rows() << ' ' << d.precision_.cols()
+        << '\n';
+    for (std::size_t r = 0; r < d.precision_.rows(); ++r)
+      write_vector(out, "row", d.precision_.row(r));
   }
+  static void load_detector(Reader& in, const std::string& scheme,
+                            MahalanobisDetector& d) {
+    d.mean_ = read_doubles(in, "mean");
+    const auto precision = read_matrix(in, "precision");
+    const std::size_t n = d.mean_.size();
+    if (precision.size() != n || n == 0)
+      throw ParseError("model: " + scheme + " shape mismatch");
+    d.precision_ = Matrix(n, n);
+    for (std::size_t r = 0; r < n; ++r) {
+      if (precision[r].size() != n)
+        throw ParseError("model: " + scheme + " precision not square");
+      for (std::size_t c = 0; c < n; ++c) d.precision_(r, c) = precision[r][c];
+    }
+  }
+
+  static void save(std::ostream& out, const AnomalyClassifier& m) {
+    HMD_REQUIRE(m.detector_.fitted(), "save_model: untrained Mahalanobis");
+    save_detector(out, m.detector_);
+    out << "threshold " << enc(m.detector_.threshold_) << '\n';
+  }
+  static void load(Reader& in, std::size_t, AnomalyClassifier& m) {
+    load_detector(in, "Mahalanobis", m.detector_);
+    m.detector_.threshold_ = dec(in.expect_one("threshold"));
+  }
+
   /// Shared tail of every one-class block: the calibrated sigmoid.
   static void save_calibration(std::ostream& out,
                                const OneClassClassifier& m) {
     out << "threshold " << enc(m.threshold_) << '\n';
     out << "scale " << enc(m.scale_) << '\n';
   }
-  static void load_calibration(Reader& reader, OneClassClassifier& m) {
-    m.threshold_ = dec(reader.expect("threshold").at(0));
-    m.scale_ = dec(reader.expect("scale").at(0));
+  static void load_calibration(Reader& in, OneClassClassifier& m) {
+    m.threshold_ = dec(in.expect_one("threshold"));
+    m.scale_ = dec(in.expect_one("scale"));
     if (m.scale_ <= 0.0)
       throw ParseError("model: one-class scale must be positive");
   }
+
   static void save(std::ostream& out, const OneClassSvm& m) {
     HMD_REQUIRE(m.calibrated(), "save_model: untrained OneClassSvm");
     write_vector(out, "mean", m.mean_);
@@ -264,358 +438,173 @@ struct ModelIo {
     out << "rho " << enc(m.rho_) << '\n';
     save_calibration(out, m);
   }
+  static void load(Reader& in, std::size_t, OneClassSvm& m) {
+    m.mean_ = read_doubles(in, "mean");
+    m.sd_ = read_vector(in, "sd", m.mean_.size());
+    m.weights_ = read_vector(in, "weights", 2 * m.mean_.size());
+    if (m.mean_.empty())
+      throw ParseError("model: OneClassSvm shape mismatch");
+    m.rho_ = dec(in.expect_one("rho"));
+    load_calibration(in, m);
+  }
+
   static void save(std::ostream& out, const KdeAnomaly& m) {
     HMD_REQUIRE(m.calibrated(), "save_model: untrained KdeAnomaly");
     write_vector(out, "mean", m.mean_);
     write_vector(out, "sd", m.sd_);
     out << "bandwidth " << enc(m.bandwidth_) << '\n';
-    const std::size_t dim = m.mean_.size();
-    const std::size_t n = dim == 0 ? 0 : m.points_.size() / dim;
-    std::vector<std::vector<double>> rows(n);
-    for (std::size_t r = 0; r < n; ++r)
-      rows[r].assign(
-          m.points_.begin() + static_cast<std::ptrdiff_t>(r * dim),
-          m.points_.begin() + static_cast<std::ptrdiff_t>((r + 1) * dim));
-    write_matrix(out, "points", rows);
+    write_points(out, m.points_, m.mean_.size());
     save_calibration(out, m);
   }
+  static void load(Reader& in, std::size_t, KdeAnomaly& m) {
+    m.mean_ = read_doubles(in, "mean");
+    m.sd_ = read_vector(in, "sd", m.mean_.size());
+    m.bandwidth_ = dec(in.expect_one("bandwidth"));
+    if (m.mean_.empty() || m.bandwidth_ <= 0.0)
+      throw ParseError("model: KdeAnomaly shape mismatch");
+    m.points_ = read_points(in, m.mean_.size(), "KdeAnomaly");
+    load_calibration(in, m);
+  }
+
   static void save(std::ostream& out, const MahalanobisThreshold& m) {
     HMD_REQUIRE(m.calibrated(), "save_model: untrained MahalanobisThreshold");
-    const MahalanobisDetector& d = m.detector_;
-    write_vector(out, "mean", d.mean_);
-    std::vector<std::vector<double>> precision(d.precision_.rows());
-    for (std::size_t r = 0; r < d.precision_.rows(); ++r) {
-      const auto row = d.precision_.row(r);
-      precision[r].assign(row.begin(), row.end());
-    }
-    write_matrix(out, "precision", precision);
+    save_detector(out, m.detector_);
     save_calibration(out, m);
   }
-  /// Committee save: alphas (AdaBoost only) plus each member as a nested
-  /// "member <scheme>" block reusing the member scheme's own format.
+  static void load(Reader& in, std::size_t, MahalanobisThreshold& m) {
+    load_detector(in, "MahalanobisThreshold", m.detector_);
+    load_calibration(in, m);
+    // The embedded detector thresholds at the same calibrated score.
+    m.detector_.threshold_ = m.threshold_;
+  }
+
+  /// Committee block: alphas (AdaBoost only) plus each member as a nested
+  /// "member <scheme>" block in the member scheme's own format.
   static void save_committee(
-      std::ostream& out, const std::vector<std::unique_ptr<Classifier>>& members,
+      std::ostream& out,
+      const std::vector<std::unique_ptr<Classifier>>& members,
       const std::vector<double>* alphas) {
     out << "members " << members.size() << '\n';
     if (alphas != nullptr) write_vector(out, "alphas", *alphas);
     for (const auto& member : members) {
       out << "member " << member->name() << '\n';
-      if (!save_body(out, *member))
-        throw PreconditionError("save_model: no serialization for member " +
-                                member->name());
+      save_body(out, *member);
     }
   }
+  /// Reads a save_committee block; fills `alphas` when it is non-null.
+  static std::vector<std::unique_ptr<Classifier>> load_committee(
+      Reader& in, std::size_t classes, std::vector<double>* alphas) {
+    const std::size_t n_members = in.expect_size("members");
+    if (n_members == 0) throw ParseError("model: empty committee");
+    if (alphas != nullptr) *alphas = read_vector(in, "alphas", n_members);
+    std::vector<std::unique_ptr<Classifier>> members;
+    for (std::size_t i = 0; i < n_members; ++i)
+      members.push_back(load_body(in, in.expect_one("member"), classes));
+    return members;
+  }
+
   static void save(std::ostream& out, const AdaBoostM1& m) {
     HMD_REQUIRE(!m.members_.empty(), "save_model: untrained AdaBoostM1");
     save_committee(out, m.members_, &m.alphas_);
   }
+  static void load(Reader& in, std::size_t classes, AdaBoostM1& m) {
+    m.num_classes_ = classes;
+    m.members_ = load_committee(in, classes, &m.alphas_);
+  }
+
   static void save(std::ostream& out, const Bagging& m) {
     HMD_REQUIRE(!m.members_.empty(), "save_model: untrained Bagging");
     save_committee(out, m.members_, nullptr);
   }
-
-  /// Scheme-dispatched body save shared by save_model and nested committee
-  /// members; returns false for schemes without a serialization.
-  static bool save_body(std::ostream& out, const Classifier& wrapped) {
-    const Classifier& clf = wrapped.unwrap();
-    if (const auto* m = dynamic_cast<const ZeroR*>(&clf)) save(out, *m);
-    else if (const auto* m1 = dynamic_cast<const OneR*>(&clf)) save(out, *m1);
-    else if (const auto* m2 = dynamic_cast<const DecisionStump*>(&clf)) save(out, *m2);
-    else if (const auto* m3 = dynamic_cast<const J48*>(&clf)) save(out, *m3);
-    else if (const auto* m4 = dynamic_cast<const JRip*>(&clf)) save(out, *m4);
-    else if (const auto* m5 = dynamic_cast<const NaiveBayes*>(&clf)) save(out, *m5);
-    else if (const auto* m6 = dynamic_cast<const Logistic*>(&clf)) save(out, *m6);
-    else if (const auto* m7 = dynamic_cast<const LinearSvm*>(&clf)) save(out, *m7);
-    else if (const auto* m8 = dynamic_cast<const Mlp*>(&clf)) save(out, *m8);
-    else if (const auto* m9 = dynamic_cast<const Knn*>(&clf)) save(out, *m9);
-    else if (const auto* m10 = dynamic_cast<const AnomalyClassifier*>(&clf)) save(out, *m10);
-    else if (const auto* m11 = dynamic_cast<const AdaBoostM1*>(&clf)) save(out, *m11);
-    else if (const auto* m12 = dynamic_cast<const Bagging*>(&clf)) save(out, *m12);
-    else if (const auto* m13 = dynamic_cast<const OneClassSvm*>(&clf)) save(out, *m13);
-    else if (const auto* m14 = dynamic_cast<const KdeAnomaly*>(&clf)) save(out, *m14);
-    else if (const auto* m15 = dynamic_cast<const MahalanobisThreshold*>(&clf)) save(out, *m15);
-    else return false;
-    return true;
-  }
-
-  // ----- load ------------------------------------------------------------
-  static Standardizer read_standardizer(Reader& reader) {
-    Standardizer s;
-    {
-      const auto tokens = reader.expect("standardizer_mean");
-      for (const auto& t : tokens) s.mean_.push_back(dec(t));
-    }
-    {
-      const auto tokens = reader.expect("standardizer_sd");
-      for (const auto& t : tokens) s.stddev_.push_back(dec(t));
-    }
-    if (s.mean_.size() != s.stddev_.size())
-      throw ParseError("model: standardizer width mismatch");
-    return s;
-  }
-
-  static std::unique_ptr<Classifier> load(Reader& reader,
-                                          const std::string& scheme,
-                                          std::size_t classes) {
-    if (scheme == "ZeroR") {
-      auto m = std::make_unique<ZeroR>();
-      m->majority_ = reader.expect_size("majority");
-      const auto tokens = reader.expect("priors");
-      for (const auto& t : tokens) m->priors_.push_back(dec(t));
-      if (m->priors_.size() != classes)
-        throw ParseError("model: prior count mismatch");
-      return m;
-    }
-    if (scheme == "OneR") {
-      auto m = std::make_unique<OneR>();
-      m->num_classes_ = classes;
-      m->feature_ = reader.expect_size("feature");
-      m->training_error_ = dec(reader.expect("training_error").at(0));
-      const std::size_t n = reader.expect_size("intervals");
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto tokens = reader.expect("interval");
-        if (tokens.size() != 2) throw ParseError("model: bad interval");
-        m->intervals_.push_back(
-            {.upper_bound = dec(tokens[0]),
-             .cls = static_cast<std::size_t>(parse_int(tokens[1]))});
-      }
-      if (m->intervals_.empty()) throw ParseError("model: OneR no intervals");
-      m->trained_ = true;
-      return m;
-    }
-    if (scheme == "DecisionStump") {
-      auto m = std::make_unique<DecisionStump>();
-      m->num_classes_ = classes;
-      const auto tokens = reader.expect("split");
-      if (tokens.size() != 4) throw ParseError("model: bad stump");
-      m->feature_ = static_cast<std::size_t>(parse_int(tokens[0]));
-      m->threshold_ = dec(tokens[1]);
-      m->left_class_ = static_cast<std::size_t>(parse_int(tokens[2]));
-      m->right_class_ = static_cast<std::size_t>(parse_int(tokens[3]));
-      m->trained_ = true;
-      return m;
-    }
-    if (scheme == "J48") {
-      auto m = std::make_unique<J48>();
-      m->num_classes_ = classes;
-      m->root_ = read_j48_node(reader);
-      return m;
-    }
-    if (scheme == "JRip") {
-      auto m = std::make_unique<JRip>();
-      m->num_classes_ = classes;
-      m->default_class_ = reader.expect_size("default");
-      const std::size_t n_rules = reader.expect_size("rules");
-      for (std::size_t r = 0; r < n_rules; ++r) {
-        const auto head = reader.expect("rule");
-        if (head.size() != 2) throw ParseError("model: bad rule header");
-        JRip::Rule rule;
-        rule.cls = static_cast<std::size_t>(parse_int(head[0]));
-        const auto n_conds = static_cast<std::size_t>(parse_int(head[1]));
-        for (std::size_t c = 0; c < n_conds; ++c) {
-          const auto tokens = reader.expect("cond");
-          if (tokens.size() != 3) throw ParseError("model: bad condition");
-          rule.conditions.push_back(
-              {.feature = static_cast<std::size_t>(parse_int(tokens[0])),
-               .greater = parse_int(tokens[1]) != 0,
-               .threshold = dec(tokens[2])});
-        }
-        m->rules_.push_back(std::move(rule));
-      }
-      m->trained_ = true;
-      return m;
-    }
-    if (scheme == "NaiveBayes") {
-      auto m = std::make_unique<NaiveBayes>();
-      const auto tokens = reader.expect("priors");
-      for (const auto& t : tokens) m->priors_.push_back(dec(t));
-      m->mean_ = read_matrix(reader, "means");
-      m->var_ = read_matrix(reader, "variances");
-      if (m->priors_.size() != classes || m->mean_.size() != classes ||
-          m->var_.size() != classes)
-        throw ParseError("model: NaiveBayes shape mismatch");
-      return m;
-    }
-    if (scheme == "MLR") {
-      auto m = std::make_unique<Logistic>();
-      m->standardizer_ = read_standardizer(reader);
-      m->weights_ = read_matrix(reader, "weights");
-      if (m->weights_.size() != classes)
-        throw ParseError("model: MLR shape mismatch");
-      m->build_packed();
-      return m;
-    }
-    if (scheme == "SVM") {
-      auto m = std::make_unique<LinearSvm>();
-      m->standardizer_ = read_standardizer(reader);
-      m->weights_ = read_matrix(reader, "weights");
-      if (m->weights_.size() != classes)
-        throw ParseError("model: SVM shape mismatch");
-      m->build_packed();
-      return m;
-    }
-    if (scheme == "MLP") {
-      auto m = std::make_unique<Mlp>();
-      m->standardizer_ = read_standardizer(reader);
-      m->w1_ = read_matrix(reader, "w1");
-      m->w2_ = read_matrix(reader, "w2");
-      if (m->w2_.size() != classes)
-        throw ParseError("model: MLP shape mismatch");
-      m->build_packed();
-      return m;
-    }
-    if (scheme == "IBk") {
-      auto m = std::make_unique<Knn>();
-      m->num_classes_ = classes;
-      m->k_ = reader.expect_size("k");
-      m->standardizer_ = read_standardizer(reader);
-      const auto tokens = reader.expect("labels");
-      for (const auto& t : tokens)
-        m->labels_.push_back(static_cast<std::size_t>(parse_int(t)));
-      const auto rows = read_matrix(reader, "points");
-      if (rows.size() != m->labels_.size() || rows.empty())
-        throw ParseError("model: IBk shape mismatch");
-      const std::size_t dim = rows.front().size();
-      m->points_.reserve(rows.size() * dim);
-      for (const auto& row : rows) {
-        if (row.size() != dim)
-          throw ParseError("model: IBk ragged points matrix");
-        m->points_.insert(m->points_.end(), row.begin(), row.end());
-      }
-      m->build_quantized();
-      m->build_index();
-      for (std::size_t l : m->labels_)
-        if (l >= classes) throw ParseError("model: IBk label out of range");
-      return m;
-    }
-    if (scheme == "Mahalanobis") {
-      if (classes != 2)
-        throw ParseError("model: Mahalanobis must be binary");
-      auto m = std::make_unique<AnomalyClassifier>();
-      MahalanobisDetector& d = m->detector_;
-      {
-        const auto tokens = reader.expect("mean");
-        for (const auto& t : tokens) d.mean_.push_back(dec(t));
-      }
-      const auto precision = read_matrix(reader, "precision");
-      if (precision.size() != d.mean_.size() || d.mean_.empty())
-        throw ParseError("model: Mahalanobis shape mismatch");
-      d.precision_ = Matrix(precision.size(), precision.size());
-      for (std::size_t r = 0; r < precision.size(); ++r) {
-        if (precision[r].size() != d.mean_.size())
-          throw ParseError("model: Mahalanobis precision not square");
-        for (std::size_t c = 0; c < precision[r].size(); ++c)
-          d.precision_(r, c) = precision[r][c];
-      }
-      d.threshold_ = dec(reader.expect("threshold").at(0));
-      return m;
-    }
-    if (scheme == "OneClassSvm") {
-      if (classes != 2)
-        throw ParseError("model: OneClassSvm must be binary");
-      auto m = std::make_unique<OneClassSvm>();
-      {
-        const auto tokens = reader.expect("mean");
-        for (const auto& t : tokens) m->mean_.push_back(dec(t));
-      }
-      m->sd_ = read_vector(reader, "sd", m->mean_.size());
-      m->weights_ = read_vector(reader, "weights", 2 * m->mean_.size());
-      if (m->mean_.empty())
-        throw ParseError("model: OneClassSvm shape mismatch");
-      m->rho_ = dec(reader.expect("rho").at(0));
-      load_calibration(reader, *m);
-      return m;
-    }
-    if (scheme == "KdeAnomaly") {
-      if (classes != 2) throw ParseError("model: KdeAnomaly must be binary");
-      auto m = std::make_unique<KdeAnomaly>();
-      {
-        const auto tokens = reader.expect("mean");
-        for (const auto& t : tokens) m->mean_.push_back(dec(t));
-      }
-      m->sd_ = read_vector(reader, "sd", m->mean_.size());
-      m->bandwidth_ = dec(reader.expect("bandwidth").at(0));
-      if (m->mean_.empty() || m->bandwidth_ <= 0.0)
-        throw ParseError("model: KdeAnomaly shape mismatch");
-      const auto rows = read_matrix(reader, "points");
-      if (rows.empty()) throw ParseError("model: KdeAnomaly has no points");
-      m->points_.reserve(rows.size() * m->mean_.size());
-      for (const auto& row : rows) {
-        if (row.size() != m->mean_.size())
-          throw ParseError("model: KdeAnomaly point width mismatch");
-        m->points_.insert(m->points_.end(), row.begin(), row.end());
-      }
-      load_calibration(reader, *m);
-      return m;
-    }
-    if (scheme == "MahalanobisThreshold") {
-      if (classes != 2)
-        throw ParseError("model: MahalanobisThreshold must be binary");
-      auto m = std::make_unique<MahalanobisThreshold>();
-      MahalanobisDetector& d = m->detector_;
-      {
-        const auto tokens = reader.expect("mean");
-        for (const auto& t : tokens) d.mean_.push_back(dec(t));
-      }
-      const auto precision = read_matrix(reader, "precision");
-      if (precision.size() != d.mean_.size() || d.mean_.empty())
-        throw ParseError("model: MahalanobisThreshold shape mismatch");
-      d.precision_ = Matrix(precision.size(), precision.size());
-      for (std::size_t r = 0; r < precision.size(); ++r) {
-        if (precision[r].size() != d.mean_.size())
-          throw ParseError("model: MahalanobisThreshold precision not square");
-        for (std::size_t c = 0; c < precision[r].size(); ++c)
-          d.precision_(r, c) = precision[r][c];
-      }
-      load_calibration(reader, *m);
-      // The embedded detector thresholds at the same calibrated score.
-      d.threshold_ = m->threshold_;
-      return m;
-    }
-    if (scheme == "AdaBoostM1" || scheme == "Bagging") {
-      const bool boosted = scheme == "AdaBoostM1";
-      const std::size_t n_members = reader.expect_size("members");
-      if (n_members == 0) throw ParseError("model: empty committee");
-      std::vector<double> alphas;
-      if (boosted) alphas = read_vector(reader, "alphas", n_members);
-      std::vector<std::unique_ptr<Classifier>> members;
-      members.reserve(n_members);
-      for (std::size_t i = 0; i < n_members; ++i) {
-        const auto head = reader.expect("member");
-        if (head.size() != 1) throw ParseError("model: bad member header");
-        members.push_back(load(reader, head[0], classes));
-      }
-      // The factory is only needed to (re)train; a loaded committee is
-      // inference-only until train() is called with a fresh instance.
-      if (boosted) {
-        auto m = std::make_unique<AdaBoostM1>(BaseFactory{});
-        m->num_classes_ = classes;
-        m->members_ = std::move(members);
-        m->alphas_ = std::move(alphas);
-        return m;
-      }
-      auto m = std::make_unique<Bagging>(BaseFactory{});
-      m->num_classes_ = classes;
-      m->members_ = std::move(members);
-      return m;
-    }
-    throw ParseError("model: unsupported scheme '" + scheme + "'");
+  static void load(Reader& in, std::size_t classes, Bagging& m) {
+    m.num_classes_ = classes;
+    m.members_ = load_committee(in, classes, nullptr);
   }
 };
 
-void save_model(std::ostream& out, const Classifier& clf) {
-  HMD_REQUIRE(clf.num_classes() >= 2, "save_model: classifier not trained");
-  out << "hmd-model v1\n";
-  out << "scheme " << clf.name() << '\n';
-  out << "classes " << clf.num_classes() << '\n';
+namespace {
 
-  if (!ModelIo::save_body(out, clf))
-    throw PreconditionError("save_model: no serialization for " + clf.name());
+/// One row per scheme name: how to write its body and how to read it back.
+struct Codec {
+  const char* scheme;
+  void (*save)(std::ostream&, const Classifier&);
+  std::unique_ptr<Classifier> (*load)(Reader&, std::size_t classes);
+};
 
-  out << "end\n";
+/// The row's class, or a PreconditionError when a classifier reports a
+/// registered scheme name without being that scheme's class.
+template <class T>
+const T& checked(const Classifier& clf) {
+  const auto* m = dynamic_cast<const T*>(&clf);
+  if (m == nullptr)
+    throw PreconditionError("save_model: '" + clf.name() +
+                            "' is not the registered class of that scheme");
+  return *m;
 }
 
-namespace {
+template <class T>
+constexpr Codec codec(const char* scheme) {
+  return {scheme,
+          [](std::ostream& out, const Classifier& clf) {
+            ModelIo::save(out, checked<T>(clf));
+          },
+          [](Reader& in, std::size_t classes) -> std::unique_ptr<Classifier> {
+            std::unique_ptr<T> m;
+            // A committee's factory is only needed to (re)train; a loaded
+            // committee is inference-only until train() gets a fresh one.
+            if constexpr (std::is_default_constructible_v<T>)
+              m = std::make_unique<T>();
+            else
+              m = std::make_unique<T>(BaseFactory{});
+            ModelIo::load(in, classes, *m);
+            return m;
+          }};
+}
+
+const Codec kCodecs[] = {
+    codec<ZeroR>("ZeroR"),
+    codec<OneR>("OneR"),
+    codec<DecisionStump>("DecisionStump"),
+    codec<J48>("J48"),
+    codec<JRip>("JRip"),
+    codec<NaiveBayes>("NaiveBayes"),
+    codec<Logistic>("MLR"),
+    codec<LinearSvm>("SVM"),
+    codec<Mlp>("MLP"),
+    codec<Knn>("IBk"),
+    codec<AdaBoostM1>("AdaBoostM1"),
+    codec<Bagging>("Bagging"),
+    codec<AnomalyClassifier>("Mahalanobis"),
+    codec<OneClassSvm>("OneClassSvm"),
+    codec<KdeAnomaly>("KdeAnomaly"),
+    codec<MahalanobisThreshold>("MahalanobisThreshold"),
+};
+
+const Codec* find_codec(const std::string& scheme) {
+  for (const Codec& c : kCodecs)
+    if (scheme == c.scheme) return &c;
+  return nullptr;
+}
+
+void save_body(std::ostream& out, const Classifier& wrapped) {
+  const Classifier& clf = wrapped.unwrap();
+  const Codec* c = find_codec(clf.name());
+  if (c == nullptr)
+    throw PreconditionError("save_model: no serialization for " + clf.name());
+  c->save(out, clf);
+}
+
+std::unique_ptr<Classifier> load_body(Reader& reader,
+                                      const std::string& scheme,
+                                      std::size_t classes) {
+  const Codec* c = find_codec(scheme);
+  if (c == nullptr)
+    throw ParseError("model: unsupported scheme '" + scheme + "'");
+  // Benign-only schemes are binary by construction.
+  if (is_one_class_scheme(scheme) && classes != 2)
+    throw ParseError("model: " + scheme + " must be binary");
+  return c->load(reader, classes);
+}
 
 /// The actual parser; throws ParseError on malformed input.
 std::unique_ptr<Classifier> load_model_impl(std::istream& in) {
@@ -631,12 +620,22 @@ std::unique_ptr<Classifier> load_model_impl(std::istream& in) {
   if (classes < 2) throw ParseError("model: class count must be >= 2");
 
   std::unique_ptr<Classifier> model =
-      ModelIo::load(reader, scheme_tokens[0], classes);
+      load_body(reader, scheme_tokens[0], classes);
   reader.expect("end");
   return model;
 }
 
 }  // namespace
+
+void save_model(std::ostream& out, const Classifier& clf) {
+  HMD_REQUIRE(clf.num_classes() >= 2, "save_model: classifier not trained");
+  out << "hmd-model v1\n";
+  out << "scheme " << clf.name() << '\n';
+  out << "classes " << clf.num_classes() << '\n';
+
+  save_body(out, clf);
+  out << "end\n";
+}
 
 Result<std::unique_ptr<Classifier>> try_load_model(std::istream& in) {
   return capture_result([&in] { return load_model_impl(in); })

@@ -32,6 +32,8 @@ void save_model(std::ostream& out, const Classifier& clf);
 /// Reconstruct a classifier saved by save_model. Malformed input yields an
 /// ErrorInfo (ErrCode::kParse) with a "loading model" context frame — the
 /// primary load API; the resilience layer branches on it without unwinding.
+/// Every stored class index is checked against the header's class count,
+/// and the error names the offending field.
 Result<std::unique_ptr<Classifier>> try_load_model(std::istream& in);
 
 /// Thin throwing wrapper over try_load_model: raises hmd::ParseError on

@@ -1,29 +1,19 @@
 #include "ml/svm.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "ml/kernels.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace hmd::ml {
 
 void LinearSvm::train(const DatasetView& data) {
   require_trainable(data);
-  standardizer_.fit(data);
+  const StandardizedRows rows = fit_standardized(standardizer_, data);
+  const std::vector<double>& x = rows.x;
   const std::size_t k = data.num_classes();
   const std::size_t d = data.num_features();
   const std::size_t n = data.num_instances();
-
-  std::vector<double> x(n * d);  // standardized rows, contiguous
-  std::vector<std::size_t> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    kernels::standardize_into(data.features_of(i), standardizer_.means(),
-                              standardizer_.stddevs(),
-                              {x.data() + i * d, d});
-    labels[i] = data.class_of(i);
-  }
 
   weights_.assign(k, std::vector<double>(d + 1, 0.0));
   Rng rng(params_.seed);
@@ -37,7 +27,7 @@ void LinearSvm::train(const DatasetView& data) {
         ++t;
         const std::size_t i = static_cast<std::size_t>(rng.uniform_index(n));
         const std::span<const double> xi{x.data() + i * d, d};
-        const double y = labels[i] == cls ? 1.0 : -1.0;
+        const double y = rows.labels[i] == cls ? 1.0 : -1.0;
         const double eta = 1.0 / (params_.lambda * static_cast<double>(t));
         const double score = kernels::dot({w.data(), d}, xi, w[d]);
         // Shrink then, on a margin violation, step toward the example.
@@ -53,76 +43,10 @@ void LinearSvm::train(const DatasetView& data) {
   build_packed();
 }
 
-void LinearSvm::build_packed() {
-  packed_ = kernels::pack_weights_feature_major(weights_);
-}
-
-void LinearSvm::distribution_batch(std::span<const double> flat,
-                                   std::size_t window_size,
-                                   std::span<double> out) const {
-  HMD_REQUIRE(!weights_.empty(), "SVM: distribution before train");
-  const std::size_t rows = require_batch(flat, window_size, out);
-  const std::size_t k = weights_.size();
-  const std::vector<double>& mean = standardizer_.means();
-  const std::vector<double>& stddev = standardizer_.stddevs();
-  HMD_REQUIRE(window_size == mean.size(),
-              "SVM::distribution_batch: width mismatch");
-
-  // Chunked GEMM over the one-vs-rest margins, then the same logistic
-  // link + normalization as distribution(), in the output slice.
-  constexpr std::size_t kChunkRows = 128;
-  std::vector<double> x(std::min(rows, kChunkRows) * window_size);
-  for (std::size_t base = 0; base < rows; base += kChunkRows) {
-    const std::size_t lim = std::min(kChunkRows, rows - base);
-    kernels::standardize_rows(flat.data() + base * window_size, lim, mean,
-                              stddev, x.data());
-    kernels::affine_batch(x.data(), lim, window_size, packed_.data(), k,
-                          out.data() + base * k);
-    for (std::size_t r = 0; r < lim; ++r) {
-      const std::span<double> row = out.subspan((base + r) * k, k);
-      double total = 0.0;
-      for (double& v : row) {
-        v = 1.0 / (1.0 + std::exp(-v));
-        total += v;
-      }
-      if (total > 0.0)
-        for (double& v : row) v /= total;
-    }
-  }
-}
-
-double LinearSvm::margin(std::size_t cls, std::span<const double> x) const {
-  return kernels::affine_bias_last(weights_[cls], x);
-}
-
 std::size_t LinearSvm::predict(std::span<const double> features) const {
-  HMD_REQUIRE(!weights_.empty(), "SVM: predict before train");
-  const std::vector<double> x = standardizer_.transform(features);
-  std::size_t best = 0;
-  double best_margin = margin(0, x);
-  for (std::size_t c = 1; c < weights_.size(); ++c) {
-    const double m = margin(c, x);
-    if (m > best_margin) {
-      best_margin = m;
-      best = c;
-    }
-  }
-  return best;
-}
-
-std::vector<double> LinearSvm::distribution(
-    std::span<const double> features) const {
-  HMD_REQUIRE(!weights_.empty(), "SVM: distribution before train");
-  const std::vector<double> x = standardizer_.transform(features);
-  std::vector<double> out(weights_.size());
-  double total = 0.0;
-  for (std::size_t c = 0; c < weights_.size(); ++c) {
-    out[c] = 1.0 / (1.0 + std::exp(-margin(c, x)));
-    total += out[c];
-  }
-  if (total > 0.0)
-    for (double& v : out) v /= total;
-  return out;
+  const std::vector<double> margins = scores(features);
+  return static_cast<std::size_t>(
+      std::max_element(margins.begin(), margins.end()) - margins.begin());
 }
 
 }  // namespace hmd::ml

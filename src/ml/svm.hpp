@@ -1,16 +1,18 @@
 // Linear support vector machine trained in the primal with Pegasos
 // (Shalev-Shwartz et al., 2007); multiclass via one-vs-rest, matching how
-// WEKA's SMO handles multiclass with a linear kernel.
+// WEKA's SMO handles multiclass with a linear kernel. Scoring is the shared
+// linear core (linear.hpp): weights()[c] is class c's one-vs-rest
+// hyperplane, and distribution() maps the margins through a logistic link
+// (not calibrated probabilities).
 #pragma once
 
 #include <cstdint>
 
-#include "ml/classifier.hpp"
-#include "ml/preprocess.hpp"
+#include "ml/linear.hpp"
 
 namespace hmd::ml {
 
-class LinearSvm final : public Classifier {
+class LinearSvm final : public LinearModel {
  public:
   struct Params {
     double lambda = 1e-4;      ///< regularization (≈ 1/C·n)
@@ -19,39 +21,16 @@ class LinearSvm final : public Classifier {
   };
 
   LinearSvm() : LinearSvm(Params{}) {}
-  explicit LinearSvm(Params params) : params_(params) {}
+  explicit LinearSvm(Params params)
+      : LinearModel(LinearLink::kSigmoidNorm), params_(params) {}
 
   void train(const DatasetView& data) override;
+  /// Argmax of the raw margins.
   std::size_t predict(std::span<const double> features) const override;
-  /// Margins mapped through a logistic link (not calibrated probabilities).
-  std::vector<double> distribution(
-      std::span<const double> features) const override;
-  /// GEMM batch scoring: all one-vs-rest margins of a chunk come from one
-  /// kernels::affine_batch call (bit-identical to the per-row path), with
-  /// the logistic link and normalization applied in the output slice.
-  void distribution_batch(std::span<const double> flat,
-                          std::size_t window_size,
-                          std::span<double> out) const override;
   std::string name() const override { return "SVM"; }
-  std::size_t num_classes() const override { return weights_.size(); }
-
-  /// weights()[c]: one-vs-rest hyperplane, num_features entries + bias last
-  /// (standardized space).
-  const std::vector<std::vector<double>>& weights() const { return weights_; }
-  const Standardizer& standardizer() const { return standardizer_; }
 
  private:
-  friend struct ModelIo;
-  /// Rebuilds packed_ from weights_ (train and model load).
-  void build_packed();
-
   Params params_;
-  Standardizer standardizer_;
-  std::vector<std::vector<double>> weights_;
-  /// weights_ in the feature-major layout kernels::affine_batch consumes.
-  std::vector<double> packed_;
-
-  double margin(std::size_t cls, std::span<const double> x) const;
 };
 
 }  // namespace hmd::ml

@@ -590,10 +590,7 @@ bool StreamEngine::score_batch(Shard& shard, Batch& batch) {
               std::move(design).value());
       } else {
         const bool int8 = config_.tier == ServeConfig::Tier::kInt8;
-        const bool supported =
-            int8 ? ml::QuantizedModel::int8_supported(*epoch->primary)
-                 : ml::QuantizedModel::q16_supported(*epoch->primary);
-        if (supported)
+        if (ml::QuantizedModel::int8_supported(*epoch->primary))
           shard.quant_model = std::make_shared<const ml::QuantizedModel>(
               epoch->primary, int8 ? ml::QuantizedModel::Mode::kInt8
                                    : ml::QuantizedModel::Mode::kQ16Input);

@@ -201,8 +201,7 @@ TEST(DatasetBuilder, CsvCacheRoundTrip) {
   for (std::size_t i = 0; i < built.num_instances(); ++i) {
     EXPECT_EQ(loaded.class_of(i), built.class_of(i));
     for (std::size_t f = 0; f < built.num_features(); ++f)
-      EXPECT_NEAR(loaded.features_of(i)[f], built.features_of(i)[f],
-                  1e-3 * (1.0 + built.features_of(i)[f]));
+      EXPECT_EQ(loaded.features_of(i)[f], built.features_of(i)[f]);
   }
   std::filesystem::remove(path);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "ml/registry.hpp"
@@ -13,7 +16,24 @@ namespace {
 
 using namespace testdata;
 
-/// Round-trip a trained model and check bit-identical predictions.
+/// Batch distributions of every row of `data`, as raw bit patterns.
+std::vector<std::uint64_t> batch_bits(const Classifier& clf,
+                                      const Dataset& data) {
+  const std::size_t d = data.num_features();
+  std::vector<double> flat;
+  for (std::size_t i = 0; i < data.num_instances(); ++i) {
+    const auto row = data.features_of(i);
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  std::vector<double> dist(data.num_instances() * clf.num_classes());
+  clf.distribution_batch(flat, d, dist);
+  std::vector<std::uint64_t> bits;
+  for (double p : dist) bits.push_back(std::bit_cast<std::uint64_t>(p));
+  return bits;
+}
+
+/// Round-trip a trained model and check bit-identical predictions and
+/// batch distributions, and that the loaded model saves byte-identically.
 void expect_roundtrip(const std::string& scheme, const Dataset& train,
                       const Dataset& check) {
   auto original = make_classifier(scheme);
@@ -32,6 +52,12 @@ void expect_roundtrip(const std::string& scheme, const Dataset& train,
               original->predict(check.features_of(i)))
         << scheme << " row " << i;
   }
+  EXPECT_EQ(batch_bits(*loaded, check), batch_bits(*original, check))
+      << scheme;
+
+  std::ostringstream again;
+  save_model(again, *loaded);
+  EXPECT_EQ(again.str(), out.str()) << scheme;
 }
 
 class RoundTripSweep : public ::testing::TestWithParam<std::string> {};
@@ -159,6 +185,63 @@ TEST(Serialization, LoadedModelSavesIdentically) {
   save_model(second, *loaded);
   EXPECT_EQ(first.str(), second.str());
 }
+
+/// A model file whose class index field is out of range for its header.
+struct BadClassIndex {
+  const char* scheme;
+  const char* body;   ///< everything between "classes 2" and "end"
+  const char* field;  ///< the field the ParseError must name
+};
+
+// Names the test case after its field (prefixed with the scheme when the
+// field belongs to a committee member) instead of a byte dump.
+void PrintTo(const BadClassIndex& bad, std::ostream* os) {
+  std::string name = bad.field;
+  if (name.rfind(bad.scheme, 0) != 0)
+    name = std::string(bad.scheme) + "_" + name;
+  std::replace(name.begin(), name.end(), ' ', '_');
+  *os << name;
+}
+
+class RejectsBadClassIndex : public ::testing::TestWithParam<BadClassIndex> {
+};
+
+// A file like this used to load "ok" and then throw from the first batch.
+TEST_P(RejectsBadClassIndex, AtLoadNamingTheField) {
+  const BadClassIndex& bad = GetParam();
+  std::istringstream in(std::string("hmd-model v1\nscheme ") + bad.scheme +
+                        "\nclasses 2\n" + bad.body + "end\n");
+  const auto loaded = try_load_model(in);
+  ASSERT_FALSE(loaded.ok()) << bad.scheme;
+  EXPECT_EQ(loaded.error().code(), ErrCode::kParse);
+  EXPECT_NE(loaded.error().message().find(bad.field), std::string::npos)
+      << loaded.error().to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, RejectsBadClassIndex,
+    ::testing::Values(
+        BadClassIndex{"ZeroR", "majority 2\npriors 0x1p-1 0x1p-1\n",
+                      "ZeroR majority"},
+        BadClassIndex{"OneR",
+                      "feature 0\ntraining_error 0x0p+0\nintervals 2\n"
+                      "interval 0x1p+0 0\ninterval inf 5\n",
+                      "OneR interval class"},
+        BadClassIndex{"DecisionStump", "split 0 0x1p+0 3 1\n",
+                      "DecisionStump left class"},
+        BadClassIndex{"DecisionStump", "split 0 0x1p+0 0 2\n",
+                      "DecisionStump right class"},
+        BadClassIndex{"J48", "split 0 0x1p+0 0 10 1\nleaf 0 5 0\nleaf 4 5 1\n",
+                      "J48 leaf class"},
+        BadClassIndex{"J48", "split 0 0x1p+0 9 10 1\nleaf 0 5 0\nleaf 1 5 1\n",
+                      "J48 split class"},
+        BadClassIndex{"JRip", "default 0\nrules 1\nrule 7 1\ncond 0 1 0x1p+0\n",
+                      "JRip rule class"},
+        BadClassIndex{"JRip", "default 2\nrules 0\n", "JRip default class"},
+        BadClassIndex{"AdaBoostM1",
+                      "members 1\nalphas 0x1p+0\nmember DecisionStump\n"
+                      "split 0 0x1p+0 0 -1\n",
+                      "DecisionStump right class"}));
 
 }  // namespace
 }  // namespace hmd::ml
