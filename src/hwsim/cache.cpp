@@ -40,10 +40,15 @@ Cache::Line* Cache::choose_victim(Line* set_lines, std::uint64_t set) {
 
   switch (config_.policy) {
     case ReplacementPolicy::kLru: {
-      Line* victim = set_lines;
-      for (std::uint32_t w = 1; w < config_.ways; ++w)
-        if (set_lines[w].lru < victim->lru) victim = &set_lines[w];
-      return victim;
+      std::uint32_t victim = 0;
+      std::uint32_t oldest = set_lines[0].lru;
+      for (std::uint32_t w = 1; w < config_.ways; ++w) {
+        const std::uint32_t stamp = set_lines[w].lru;
+        const bool older = stamp < oldest;
+        oldest = older ? stamp : oldest;
+        victim = older ? w : victim;
+      }
+      return &set_lines[victim];
     }
     case ReplacementPolicy::kRoundRobin: {
       const std::uint32_t w = rr_next_[set];
@@ -65,15 +70,10 @@ Cache::Line* Cache::set_begin(std::uint64_t set) {
   return &lines_[set * config_.ways];
 }
 
-CacheAccessResult Cache::access(std::uint64_t addr, bool is_store) {
+CacheAccessResult Cache::touch(std::uint64_t addr, bool is_store) {
   const std::uint64_t block = addr >> line_shift_;
   const std::uint64_t set = block & set_mask_;
   const std::uint64_t tag = block >> std::countr_zero(set_mask_ + 1);
-
-  if (is_store)
-    ++stores_;
-  else
-    ++loads_;
 
   Line* set_lines = set_begin(set);
   ++lru_clock_;
@@ -92,44 +92,31 @@ CacheAccessResult Cache::access(std::uint64_t addr, bool is_store) {
     }
   }
 
-  if (is_store)
-    ++store_misses_;
-  else
-    ++load_misses_;
-
   Line* victim = choose_victim(set_lines, set);
   const bool writeback = victim->valid && victim->dirty;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = lru_clock_;
-  victim->dirty = is_store;
+  *victim = {.tag = tag, .lru = lru_clock_, .valid = true, .dirty = is_store};
   return {.hit = false, .writeback = writeback};
 }
 
-CacheAccessResult Cache::fill(std::uint64_t addr) {
-  // Same lookup/replacement as access(), but without statistics and
-  // without dirtying the line.
-  const std::uint64_t block = addr >> line_shift_;
-  const std::uint64_t set = block & set_mask_;
-  const std::uint64_t tag = block >> std::countr_zero(set_mask_ + 1);
+CacheAccessResult Cache::access(std::uint64_t addr, bool is_store) {
+  if (is_store)
+    ++stores_;
+  else
+    ++loads_;
+  const CacheAccessResult result = touch(addr, is_store);
+  if (!result.hit) {
+    if (is_store)
+      ++store_misses_;
+    else
+      ++load_misses_;
+  }
+  return result;
+}
 
-  Line* set_lines = set_begin(set);
-  ++lru_clock_;
-  if (lru_clock_ == 0) {
-    for (auto& l : lines_) l.lru = 0;
-    lru_clock_ = 1;
-  }
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    Line& line = set_lines[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = lru_clock_;
-      return {.hit = true, .writeback = false};
-    }
-  }
-  Line* victim = choose_victim(set_lines, set);
-  const bool writeback = victim->valid && victim->dirty;
-  *victim = {.tag = tag, .lru = lru_clock_, .valid = true, .dirty = false};
-  return {.hit = false, .writeback = writeback};
+CacheAccessResult Cache::fill(std::uint64_t addr) {
+  // A fill is a load that counts no demand statistics, so it never
+  // dirties the line.
+  return touch(addr, /*is_store=*/false);
 }
 
 void Cache::flush() {

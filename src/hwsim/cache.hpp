@@ -85,6 +85,9 @@ class Cache {
   std::uint64_t rand_state_ = 0x9e3779b97f4a7c15ull;  ///< xorshift64 state
 
   Line* set_begin(std::uint64_t set);
+  /// Looks up the line and installs it on a miss: the shared body of
+  /// access() and fill(). A store marks the line dirty.
+  CacheAccessResult touch(std::uint64_t addr, bool is_store);
   Line* choose_victim(Line* set_lines, std::uint64_t set);
 };
 

@@ -4,14 +4,6 @@
 
 namespace hmd::hwsim {
 
-void Pmu::add(HwEvent e, std::uint64_t n) {
-  const auto idx = static_cast<std::size_t>(e);
-  HMD_REQUIRE(idx < kNumEvents, "Pmu::add: invalid event");
-  true_counts_[idx] += n;
-  for (auto& reg : registers_)
-    if (reg.active && reg.event == e) reg.value += n;
-}
-
 void Pmu::advance_time(std::uint64_t ns) {
   for (auto& reg : registers_)
     if (reg.active) reg.time_running_ns += ns;
@@ -20,13 +12,20 @@ void Pmu::advance_time(std::uint64_t ns) {
 void Pmu::program(std::size_t slot, HwEvent e) {
   HMD_REQUIRE(slot < kNumCounters, "Pmu::program: slot out of range");
   HMD_REQUIRE(e < HwEvent::kCount, "Pmu::program: invalid event");
+  stop(slot);
   registers_[slot] = {.event = e, .value = 0, .time_running_ns = 0,
                       .active = true};
+  counting_[static_cast<std::size_t>(e)] |=
+      static_cast<RegisterMask>(1u << slot);
 }
 
 void Pmu::stop(std::size_t slot) {
   HMD_REQUIRE(slot < kNumCounters, "Pmu::stop: slot out of range");
-  registers_[slot].active = false;
+  Register& reg = registers_[slot];
+  if (reg.active)
+    counting_[static_cast<std::size_t>(reg.event)] &=
+        static_cast<RegisterMask>(~(1u << slot));
+  reg.active = false;
 }
 
 bool Pmu::is_active(std::size_t slot) const {
@@ -56,6 +55,7 @@ std::uint64_t Pmu::true_count(HwEvent e) const {
 void Pmu::reset() {
   true_counts_.fill(0);
   registers_.fill({});
+  counting_.fill(0);
 }
 
 }  // namespace hmd::hwsim

@@ -9,10 +9,13 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
 #include "hwsim/events.hpp"
+#include "util/error.hpp"
 
 namespace hmd::hwsim {
 
@@ -65,8 +68,23 @@ class Pmu {
     bool active = false;
   };
 
+  using RegisterMask = std::uint8_t;  ///< one bit per register
+  static_assert(kNumCounters <= 8 * sizeof(RegisterMask));
+
   std::array<std::uint64_t, kNumEvents> true_counts_{};
   std::array<Register, kNumCounters> registers_{};
+  /// Per event, the registers that are active and counting it, so add()
+  /// touches only those.
+  std::array<RegisterMask, kNumEvents> counting_{};
 };
+
+// Inline: the core calls add() several times per retired op.
+inline void Pmu::add(HwEvent e, std::uint64_t n) {
+  const auto idx = static_cast<std::size_t>(e);
+  HMD_REQUIRE(idx < kNumEvents, "Pmu::add: invalid event");
+  true_counts_[idx] += n;
+  for (unsigned mask = counting_[idx]; mask != 0; mask &= mask - 1)
+    registers_[static_cast<std::size_t>(std::countr_zero(mask))].value += n;
+}
 
 }  // namespace hmd::hwsim

@@ -53,11 +53,11 @@ double Rng::uniform(double lo, double hi) {
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   HMD_REQUIRE(n > 0, "uniform_index: n must be positive");
-  // Lemire-style rejection to remove modulo bias.
-  const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
+  // Rejection to remove modulo bias: accept r >= (2^64 - n) mod n. That
+  // threshold is below n, so a draw r >= n is accepted without computing it.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % n;
+    if (r >= n || r >= (~n + 1) % n) return r % n;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
@@ -127,6 +128,54 @@ TEST(DatasetBuilder, ParallelCollectionBitIdenticalToSerial) {
   ml::write_dataset_csv(serial_csv, serial);
   ml::write_dataset_csv(parallel_csv, parallel);
   EXPECT_EQ(parallel_csv.str(), serial_csv.str());
+}
+
+// FNV-1a over the bit pattern of every collected double and every class
+// label, row by row. The golden values below pin the simulated collection
+// bit for bit: any change to hwsim, the workload generators or the
+// collector that moves a single counter changes them.
+std::uint64_t dataset_fingerprint(const ml::Dataset& d) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (std::size_t i = 0; i < d.num_instances(); ++i) {
+    for (const double v : d.features_of(i)) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      mix(bits);
+    }
+    mix(d.class_of(i));
+  }
+  return h;
+}
+
+PipelineConfig golden_config(bool ideal_pmu) {
+  PipelineConfig cfg = PipelineConfig::quick(0.01, 4);
+  cfg.seed = 3;
+  cfg.collector.ideal_pmu = ideal_pmu;
+  return cfg;
+}
+
+TEST(DatasetBuilder, MultiplexedCollectionMatchesGoldenFingerprint) {
+  DatasetBuilder builder(golden_config(/*ideal_pmu=*/false));
+  const ml::Dataset serial = builder.build_multiclass_dataset();
+  ThreadPool pool(3);
+  const ml::Dataset pooled = builder.build_multiclass_dataset({}, &pool);
+  ASSERT_EQ(serial.num_instances(), 34u * 4u);
+  EXPECT_EQ(dataset_fingerprint(pooled), dataset_fingerprint(serial));
+  EXPECT_EQ(dataset_fingerprint(serial), 0x9ff5c1eb4bece576ull);
+}
+
+TEST(DatasetBuilder, IdealPmuCollectionMatchesGoldenFingerprint) {
+  DatasetBuilder builder(golden_config(/*ideal_pmu=*/true));
+  const ml::Dataset serial = builder.build_multiclass_dataset();
+  ThreadPool pool(3);
+  const ml::Dataset pooled = builder.build_multiclass_dataset({}, &pool);
+  ASSERT_EQ(serial.num_instances(), 34u * 4u);
+  EXPECT_EQ(dataset_fingerprint(pooled), dataset_fingerprint(serial));
+  EXPECT_EQ(dataset_fingerprint(serial), 0x2a43249f088ce63full);
 }
 
 TEST(DatasetBuilder, ParallelProgressStillCoversAllSamples) {

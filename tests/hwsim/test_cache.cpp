@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hmd::hwsim {
 namespace {
@@ -212,6 +218,173 @@ TEST(CachePolicy, AllPoliciesAgreeOnFullyResidentWorkingSets) {
     for (int pass = 0; pass < 3; ++pass)
       for (std::uint64_t a = 0; a < 2048; a += 64) c.access(a, false);
     EXPECT_EQ(c.load_misses(), 32u);  // compulsory only
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests: the Cache against a plain reference model.
+//
+// ReferenceCache is the straightforward set-associative model: a line
+// struct per way, a linear scan for the tag, and victim selection by
+// scanning for the first invalid way, else by policy (smallest LRU stamp,
+// the round-robin pointer, or an xorshift64 draw). Every optimization of
+// Cache must agree with it access by access.
+
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& config) : config_(config) {
+    const std::uint64_t sets = config.num_sets();
+    set_bits_ = static_cast<std::uint32_t>(std::countr_zero(sets));
+    line_shift_ = static_cast<std::uint32_t>(
+        std::countr_zero(static_cast<std::uint64_t>(config.line_bytes)));
+    lines_.resize(sets * config.ways);
+    rr_next_.assign(sets, 0);
+  }
+
+  CacheAccessResult access(std::uint64_t addr, bool is_store) {
+    (is_store ? stores : loads) += 1;
+    const CacheAccessResult r = lookup(addr, is_store);
+    if (!r.hit) (is_store ? store_misses : load_misses) += 1;
+    return r;
+  }
+
+  CacheAccessResult fill(std::uint64_t addr) { return lookup(addr, false); }
+
+  void flush() {
+    for (Line& l : lines_) l = Line{};
+    lru_clock_ = 0;
+  }
+
+  std::uint64_t loads = 0, stores = 0, load_misses = 0, store_misses = 0;
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    std::uint32_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+
+  CacheAccessResult lookup(std::uint64_t addr, bool is_store) {
+    const std::uint64_t block = addr >> line_shift_;
+    const std::uint64_t set = block & ((std::uint64_t{1} << set_bits_) - 1);
+    const std::uint64_t tag = block >> set_bits_;
+    Line* ways = &lines_[set * config_.ways];
+    ++lru_clock_;
+    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+      if (ways[w].valid && ways[w].tag == tag) {
+        ways[w].lru = lru_clock_;
+        if (is_store) ways[w].dirty = true;
+        return {.hit = true, .writeback = false};
+      }
+    }
+    Line* victim = nullptr;
+    for (std::uint32_t w = 0; w < config_.ways && victim == nullptr; ++w)
+      if (!ways[w].valid) victim = &ways[w];
+    if (victim == nullptr) {
+      switch (config_.policy) {
+        case ReplacementPolicy::kLru:
+          victim = ways;
+          for (std::uint32_t w = 1; w < config_.ways; ++w)
+            if (ways[w].lru < victim->lru) victim = &ways[w];
+          break;
+        case ReplacementPolicy::kRoundRobin:
+          victim = &ways[rr_next_[set]];
+          rr_next_[set] = (rr_next_[set] + 1) % config_.ways;
+          break;
+        case ReplacementPolicy::kRandom:
+          rand_state_ ^= rand_state_ << 13;
+          rand_state_ ^= rand_state_ >> 7;
+          rand_state_ ^= rand_state_ << 17;
+          victim = &ways[rand_state_ % config_.ways];
+          break;
+      }
+    }
+    const bool writeback = victim->valid && victim->dirty;
+    *victim = {.tag = tag, .lru = lru_clock_, .valid = true,
+               .dirty = is_store};
+    return {.hit = false, .writeback = writeback};
+  }
+
+  CacheConfig config_;
+  std::uint32_t set_bits_ = 0;
+  std::uint32_t line_shift_ = 0;
+  std::vector<Line> lines_;
+  std::vector<std::uint32_t> rr_next_;
+  std::uint32_t lru_clock_ = 0;
+  std::uint64_t rand_state_ = 0x9e3779b97f4a7c15ull;
+};
+
+std::string policy_name(ReplacementPolicy p) {
+  switch (p) {
+    case ReplacementPolicy::kLru: return "lru";
+    case ReplacementPolicy::kRoundRobin: return "round-robin";
+    case ReplacementPolicy::kRandom: return "random";
+  }
+  return "?";
+}
+
+/// Replays a seeded stream of loads, stores and fills over a working set of
+/// `working_lines` lines through both models and a flush halfway, checking
+/// every outcome and the statistics.
+void expect_cache_matches_reference(const CacheConfig& config,
+                                    double working_set_ratio,
+                                    std::uint64_t seed) {
+  SCOPED_TRACE(config.name + " " + policy_name(config.policy) +
+               " working set x" + std::to_string(working_set_ratio));
+  Cache cache(config);
+  ReferenceCache ref(config);
+  Rng rng(seed);
+  const std::uint64_t capacity_lines = config.size_bytes / config.line_bytes;
+  const std::uint64_t working_lines = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(working_set_ratio *
+                                    static_cast<double>(capacity_lines)));
+  const std::uint64_t base = rng.next_u64() >> 20;
+  constexpr int kAccesses = 20000;
+  for (int i = 0; i < kAccesses; ++i) {
+    if (i == kAccesses / 2) {
+      cache.flush();
+      ref.flush();
+    }
+    const std::uint64_t addr = (base + rng.uniform_index(working_lines)) *
+                                   config.line_bytes +
+                               rng.uniform_index(config.line_bytes);
+    const std::uint64_t kind = rng.uniform_index(20);
+    CacheAccessResult got, want;
+    if (kind < 3) {
+      got = cache.fill(addr);
+      want = ref.fill(addr);
+    } else {
+      const bool is_store = kind < 8;
+      got = cache.access(addr, is_store);
+      want = ref.access(addr, is_store);
+    }
+    ASSERT_EQ(got.hit, want.hit) << "access " << i;
+    ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+  }
+  EXPECT_EQ(cache.loads(), ref.loads);
+  EXPECT_EQ(cache.stores(), ref.stores);
+  EXPECT_EQ(cache.load_misses(), ref.load_misses);
+  EXPECT_EQ(cache.store_misses(), ref.store_misses);
+}
+
+TEST(CacheDifferential, MatchesReferenceModelForEveryPolicy) {
+  const std::vector<CacheConfig> geometries = {
+      tiny_cache(2),
+      miniature_l1d(),
+      {.name = "LLC12", .size_bytes = 48 * 1024, .ways = 12, .line_bytes = 64},
+      {.name = "FA16", .size_bytes = 16 * 32, .ways = 16, .line_bytes = 32},
+      {.name = "DM", .size_bytes = 4096, .ways = 1, .line_bytes = 64},
+  };
+  std::uint64_t seed = 1;
+  for (ReplacementPolicy policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kRoundRobin,
+        ReplacementPolicy::kRandom}) {
+    for (CacheConfig config : geometries) {
+      config.policy = policy;
+      for (const double ratio : {0.5, 1.0, 1.5, 4.0})
+        expect_cache_matches_reference(config, ratio, seed++);
+    }
   }
 }
 

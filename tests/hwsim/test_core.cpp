@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "workload/sandbox.hpp"
 
 namespace hmd::hwsim {
 namespace {
@@ -153,10 +156,68 @@ TEST(Core, StoreStreamProducesNodeStores) {
   EXPECT_GT(core.pmu().true_count(HwEvent::kNodeStores), 100u);
 }
 
+// Golden ground-truth counts for every event after a fixed seeded Sandbox
+// op stream. They pin the simulator bit for bit: a change to the cache,
+// TLB, predictor, PMU or core timing code that moves any counter fails
+// here, and the failure message lists each new value.
+using EventCounts = std::array<std::uint64_t, kNumEvents>;
+
+EventCounts run_sandbox(Core& core, workload::AppClass label,
+                        std::uint64_t seed, std::size_t ops) {
+  workload::SampleRecord record;
+  record.label = label;
+  record.seed = seed;
+  workload::Sandbox sandbox(record);
+  for (std::size_t i = 0; i < ops; ++i) core.execute(sandbox.next());
+  EventCounts counts{};
+  for (std::size_t e = 0; e < kNumEvents; ++e)
+    counts[e] = core.pmu().true_count(static_cast<HwEvent>(e));
+  return counts;
+}
+
+void expect_counts(const EventCounts& got, const EventCounts& want) {
+  for (std::size_t e = 0; e < kNumEvents; ++e)
+    EXPECT_EQ(got[e], want[e]) << event_name(static_cast<HwEvent>(e));
+}
+
+TEST(Core, MiniatureSandboxStreamMatchesGoldenCounts) {
+  // The collection pipeline's machine: miniature caches, 64/48-entry TLBs.
+  Core core(CoreConfig{}, MemoryHierarchy::miniature());
+  const EventCounts counts =
+      run_sandbox(core, workload::AppClass::kVirus, 20170605, 60000);
+  expect_counts(counts, {60000, 10383, 2902, 8355, 23819, 15794, 20100, 4923,
+                          18881, 2631, 17061, 11289, 40, 84647, 15794, 5149,
+                          2793373, 4629, 1812, 4127, 2553, 379635});
+  EXPECT_EQ(core.cycles(), counts[static_cast<std::size_t>(HwEvent::kCycles)]);
+}
+
+TEST(Core, HaswellPrefetchingSandboxStreamMatchesGoldenCounts) {
+  // Full-size hierarchy, 128/64-entry TLBs, prefetch fills on the load path.
+  Core core;
+  core.memory().enable_prefetcher();
+  const EventCounts counts =
+      run_sandbox(core, workload::AppClass::kBenign, 4590, 60000);
+  expect_counts(counts, {60000, 10074, 2318, 8567, 2755, 2753, 13084, 5701,
+                          4690, 1622, 1115, 1114, 41, 16837, 2753, 0, 555640,
+                          2156, 161, 479, 479, 217220});
+}
+
 TEST(Core, RejectsBadConfig) {
   EXPECT_THROW(Core(CoreConfig{.frequency_ghz = 0.0}),
                hmd::PreconditionError);
   EXPECT_THROW(Core(CoreConfig{.bus_ratio = 0}), hmd::PreconditionError);
+  EXPECT_THROW(Core(CoreConfig{.fetch_line_bytes = 8}),
+               hmd::PreconditionError);
+  EXPECT_THROW(Core(CoreConfig{.fetch_line_bytes = 48}),
+               hmd::PreconditionError);
+  try {
+    Core(CoreConfig{.fetch_line_bytes = 96});
+    ADD_FAILURE() << "a 96-byte fetch line was accepted";
+  } catch (const hmd::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("CoreConfig::fetch_line_bytes"),
+              std::string::npos);
+  }
+  EXPECT_NO_THROW(Core(CoreConfig{.fetch_line_bytes = 32}));
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hmd::hwsim {
 namespace {
@@ -98,6 +101,52 @@ TEST(Pmu, ResetClearsEverything) {
   EXPECT_EQ(pmu.true_count(HwEvent::kInstructions), 0u);
   EXPECT_FALSE(pmu.is_active(0));
   EXPECT_EQ(pmu.read(0).value, 0u);
+}
+
+TEST(PmuDifferential, MatchesRegisterScanReference) {
+  // Reference: add() scans every register for an active one counting the
+  // event. A seeded mix of program/stop/add/reset must leave the Pmu's
+  // registers and ground truth equal to it after every step.
+  struct RefRegister {
+    HwEvent event = HwEvent::kCount;
+    std::uint64_t value = 0;
+    bool active = false;
+  };
+  std::array<RefRegister, Pmu::kNumCounters> ref{};
+  std::array<std::uint64_t, kNumEvents> ref_truth{};
+  Pmu pmu;
+  Rng rng(2017);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.uniform_index(100);
+    const auto slot =
+        static_cast<std::size_t>(rng.uniform_index(Pmu::kNumCounters));
+    // A small event range so that registers often share an event.
+    const auto event = static_cast<HwEvent>(rng.uniform_index(6));
+    if (op < 15) {
+      pmu.program(slot, event);
+      ref[slot] = {.event = event, .value = 0, .active = true};
+    } else if (op < 25) {
+      pmu.stop(slot);
+      ref[slot].active = false;
+    } else if (op < 26) {
+      pmu.reset();
+      ref = {};
+      ref_truth = {};
+    } else {
+      const std::uint64_t n = 1 + rng.uniform_index(5);
+      pmu.add(event, n);
+      ref_truth[static_cast<std::size_t>(event)] += n;
+      for (RefRegister& r : ref)
+        if (r.active && r.event == event) r.value += n;
+    }
+    for (std::size_t r = 0; r < Pmu::kNumCounters; ++r) {
+      ASSERT_EQ(pmu.read(r).value, ref[r].value) << "step " << step;
+      ASSERT_EQ(pmu.is_active(r), ref[r].active) << "step " << step;
+    }
+    for (std::size_t e = 0; e < kNumEvents; ++e)
+      ASSERT_EQ(pmu.true_count(static_cast<HwEvent>(e)), ref_truth[e])
+          << "step " << step;
+  }
 }
 
 }  // namespace

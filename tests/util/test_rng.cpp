@@ -79,6 +79,27 @@ TEST(Rng, UniformIndexIsUnbiased) {
   for (int c : counts) EXPECT_NEAR(c, n / 10, n / 10 * 0.06);
 }
 
+TEST(Rng, UniformIndexMatchesThresholdRejectionReference) {
+  // Reference: reject r < (2^64 - n) mod n, then reduce. Large n make the
+  // threshold large (n = 2^63 + 1 rejects about half of all draws), so the
+  // sequences only agree if every accept/reject decision does.
+  auto reference = [](Rng& rng, std::uint64_t n) {
+    const std::uint64_t threshold = (~n + 1) % n;
+    for (;;) {
+      const std::uint64_t r = rng.next_u64();
+      if (r >= threshold) return r % n;
+    }
+  };
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{1} << 32,
+        (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0} - 2,
+        ~std::uint64_t{0}}) {
+    Rng a(n), b(n);
+    for (int i = 0; i < 2000; ++i)
+      ASSERT_EQ(a.uniform_index(n), reference(b, n)) << "n " << n;
+  }
+}
+
 TEST(Rng, UniformIntInclusiveBounds) {
   Rng rng(17);
   bool saw_lo = false, saw_hi = false;
