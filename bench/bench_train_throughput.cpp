@@ -7,15 +7,20 @@
 //
 // Emits BENCH_throughput.json (rows/sec train + predict, serial and
 // pooled) in the working directory and mirrors the numbers as [bench]
-// lines for CI greps.
+// lines for CI greps. Each scheme also reports an FNV-1a fingerprint of
+// its trained parameters (the bytes save_model writes, whose doubles are
+// exact hexfloats), so two runs under different HMD_KERNEL_ISA settings
+// can be checked for bit-identical training.
 //
 // Scale knobs (environment):
 //   HMD_TPUT_ROWS     dataset rows            (default 50000)
 //   HMD_TPUT_PREDICT  rows scored per predict (default 2048)
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "ml/knn.hpp"
 #include "ml/logistic.hpp"
 #include "ml/mlp.hpp"
+#include "ml/serialization.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -69,8 +75,22 @@ ml::Dataset synthetic_dataset(std::size_t rows, std::uint64_t seed) {
   return data;
 }
 
+/// FNV-1a over the serialized model: a fingerprint of every trained
+/// parameter's bit pattern.
+std::uint64_t param_fingerprint(const ml::Classifier& model) {
+  std::ostringstream out;
+  ml::save_model(out, model);
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char ch : out.str()) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 struct SchemeResult {
   std::string scheme;
+  std::uint64_t fingerprint = 0;  ///< param_fingerprint of the serial model
   double train_serial = 0.0;    ///< rows/sec
   double train_pooled = 0.0;    ///< rows/sec (aggregate across pool)
   double predict_serial = 0.0;  ///< rows/sec
@@ -99,6 +119,7 @@ SchemeResult run_scheme(const std::string& scheme, Factory make,
     model->train(train);
     r.train_serial = n_train / t.elapsed_seconds();
   }
+  r.fingerprint = param_fingerprint(*model);
   {
     const std::size_t jobs = pool.size();
     std::vector<std::unique_ptr<ml::Classifier>> models(jobs);
@@ -135,9 +156,9 @@ SchemeResult run_scheme(const std::string& scheme, Factory make,
   std::fprintf(stderr,
                "[bench] throughput %-4s train %9.0f rows/s serial %9.0f "
                "pooled | predict %9.0f rows/s serial %9.0f pooled "
-               "(checksum %zu)\n",
+               "(checksum %zu) params fingerprint %016" PRIx64 "\n",
                scheme.c_str(), r.train_serial, r.train_pooled,
-               r.predict_serial, r.predict_pooled, checksum);
+               r.predict_serial, r.predict_pooled, checksum, r.fingerprint);
   return r;
 }
 
@@ -156,7 +177,11 @@ void write_json(const std::string& path, std::size_t rows,
       << "  \"schemes\": {\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SchemeResult& r = results[i];
+    char fingerprint[17];
+    std::snprintf(fingerprint, sizeof fingerprint, "%016" PRIx64,
+                  r.fingerprint);
     out << "    \"" << r.scheme << "\": {\n"
+        << "      \"params_fingerprint\": \"" << fingerprint << "\",\n"
         << "      \"train_rows_per_s\": {\"serial\": " << r.train_serial
         << ", \"pooled\": " << r.train_pooled << "},\n"
         << "      \"predict_rows_per_s\": {\"serial\": " << r.predict_serial

@@ -10,11 +10,11 @@
 
 #include "util/error.hpp"
 
-// This file MUST be compiled with -ffp-contract=off (pinned in
-// src/ml/CMakeLists.txt): the AVX-512 clones of the float GEMM would
-// otherwise fuse `acc += x*w` into an FMA and skip the intermediate
-// rounding the scalar body performs, breaking the clone-for-clone
-// bit-exactness the dispatch-parity tests pin.
+// This file MUST be compiled with -ffp-contract=off (pinned on hmd_ml in
+// src/ml/CMakeLists.txt): the AVX2/AVX-512 clones of the float GEMM and
+// the MLP step would otherwise fuse `acc += x*w` into an FMA and skip the
+// intermediate rounding the scalar body performs, breaking the
+// clone-for-clone bit-exactness the dispatch-parity tests pin.
 
 namespace hmd::ml::kernels {
 
@@ -164,6 +164,98 @@ inline void affine_body(const double* a, std::size_t rows, std::size_t d,
   affine_body_wide(a, rows, d, packed, k, out);
 }
 #endif
+
+// Online SGD over `order` for a sigmoid/softmax MLP (see mlp_sgd_steps in
+// kernels.hpp for the exact per-weight sequence). Hidden units run in
+// vector lanes: each clone instantiates this body with its native vector
+// (2 lanes for baseline SSE2, 4 for AVX2, 8 for AVX-512), and lane j only
+// ever touches hidden unit j's weights — the forward sum over inputs, the
+// delta over classes and both momentum updates are lane-wise, so every
+// weight sees the scalar IEEE sequence in every clone. The per-class
+// output sums and the exp calls stay scalar. Each vector block of units
+// runs its whole backward pass with its delta and step in registers.
+template <std::size_t kW>
+__attribute__((always_inline)) inline void mlp_sgd_body(
+    MlpNet& net, const double* __restrict x,
+    const std::size_t* __restrict labels, const std::size_t* __restrict order,
+    std::size_t n, double lr, double m) {
+  static_assert(kMlpLanes % kW == 0, "rows must hold whole vectors");
+  // Unaligned (aligned(8)) and may_alias: it reads the double rows in place.
+  typedef double V
+      __attribute__((vector_size(kW * sizeof(double)), aligned(8), may_alias));
+  const std::size_t d = net.d, h = net.h, k = net.k;
+  const std::size_t nb = net.lanes / kW;       // row stride, in vectors
+  const std::size_t live = (h + kW - 1) / kW;  // vectors holding real units
+  V* const w1 = reinterpret_cast<V*>(net.w1.data());
+  V* const v1 = reinterpret_cast<V*>(net.v1.data());
+  V* const w2 = reinterpret_cast<V*>(net.w2.data());
+  V* const v2 = reinterpret_cast<V*>(net.v2.data());
+  double* const hidden = net.hidden.data();
+  V* const a = reinterpret_cast<V*>(hidden);
+  double* const err = net.err.data();
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t idx = order[i];
+    const double* xi = x + idx * d;
+    if (i + 1 < n) {  // the next row is a random one: fetch its lines now
+      const double* next = x + order[i + 1] * d;
+      for (std::size_t f = 0; f < d; f += 8) __builtin_prefetch(next + f);
+      __builtin_prefetch(next + d - 1);
+    }
+
+    // Hidden layer: bias row first, then inputs ascending, then sigmoid.
+    // Padding lanes that share a vector with real units sum zero weights
+    // and stay 0; whole padding vectors are skipped.
+    for (std::size_t b = 0; b < live; ++b) {
+      V z = w1[d * nb + b];
+      for (std::size_t f = 0; f < d; ++f) z += xi[f] * w1[f * nb + b];
+      a[b] = z;
+    }
+    for (std::size_t j = 0; j < h; ++j) hidden[j] = sigmoid(hidden[j]);
+
+    // Output layer: bias first, hidden units ascending; softmax; the
+    // cross-entropy error p - onehot(y).
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* row = reinterpret_cast<const double*>(w2 + c * nb);
+      double acc = net.b2[c];
+      for (std::size_t j = 0; j < h; ++j) acc += row[j] * hidden[j];
+      err[c] = acc;
+    }
+    softmax_row(err, k);
+    const std::size_t y = labels[idx];
+    for (std::size_t c = 0; c < k; ++c) err[c] -= c == y ? 1.0 : 0.0;
+
+    // Backward, one block of hidden units at a time: delta reads each
+    // output weight before its momentum step, then the hidden step lr*g
+    // updates every input row (the bias row's input is 1).
+    for (std::size_t b = 0; b < live; ++b) {
+      const V ab = a[b];
+      V delta = V{};
+      for (std::size_t c = 0; c < k; ++c) {
+        V& w = w2[c * nb + b];
+        V& v = v2[c * nb + b];
+        delta += err[c] * w;
+        v = m * v - (lr * err[c]) * ab;
+        w += v;
+      }
+      const V step = lr * ((delta * ab) * (1.0 - ab));
+      for (std::size_t f = 0; f < d; ++f) {
+        V& w = w1[f * nb + b];
+        V& v = v1[f * nb + b];
+        v = m * v - step * xi[f];
+        w += v;
+      }
+      V& w = w1[d * nb + b];
+      V& v = v1[d * nb + b];
+      v = m * v - step;
+      w += v;
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      net.vb2[c] = m * net.vb2[c] - lr * err[c];
+      net.b2[c] += net.vb2[c];
+    }
+  }
+}
 
 // Int8 × int8 → int32 GEMM. Exact integer math (|product| <= 127², sums
 // far below INT32_MAX for any practical width), so clones may freely
@@ -409,6 +501,20 @@ __attribute__((target("avx2"))) void gemm_i8_avx2(
     std::int32_t* __restrict out) {
   gemm_i8_body(a, rows, d, w, k, out);
 }
+
+__attribute__((target("avx512f,avx512bw"))) void mlp_sgd_avx512(
+    MlpNet& net, const double* __restrict x,
+    const std::size_t* __restrict labels, const std::size_t* __restrict order,
+    std::size_t n, double lr, double m) {
+  mlp_sgd_body<8>(net, x, labels, order, n, lr, m);
+}
+
+__attribute__((target("avx2"))) void mlp_sgd_avx2(
+    MlpNet& net, const double* __restrict x,
+    const std::size_t* __restrict labels, const std::size_t* __restrict order,
+    std::size_t n, double lr, double m) {
+  mlp_sgd_body<4>(net, x, labels, order, n, lr, m);
+}
 #endif
 
 /// force_isa() override; -1 = unset.
@@ -600,6 +706,71 @@ void gemm_i8_i32_as(Isa isa, const std::int8_t* a, std::size_t rows,
   (void)isa;
 #endif
   gemm_i8_body(a, rows, d, w, k, out);
+}
+
+MlpNet::MlpNet(const std::vector<std::vector<double>>& w1_rows,
+               const std::vector<std::vector<double>>& w2_rows)
+    : d(w1_rows.empty() || w1_rows.front().empty()
+            ? 0
+            : w1_rows.front().size() - 1),
+      h(w1_rows.size()),
+      k(w2_rows.size()),
+      lanes((h + kMlpLanes - 1) / kMlpLanes * kMlpLanes),
+      w1((d + 1) * lanes, 0.0),
+      v1((d + 1) * lanes, 0.0),
+      w2(k * lanes, 0.0),
+      v2(k * lanes, 0.0),
+      b2(k, 0.0),
+      vb2(k, 0.0),
+      hidden(lanes, 0.0),
+      err(k, 0.0) {
+  HMD_REQUIRE(h > 0 && k > 0 && d > 0, "MlpNet: empty weights");
+  for (std::size_t j = 0; j < h; ++j) {
+    HMD_REQUIRE(w1_rows[j].size() == d + 1, "MlpNet: ragged hidden weights");
+    for (std::size_t f = 0; f <= d; ++f) w1[f * lanes + j] = w1_rows[j][f];
+  }
+  for (std::size_t c = 0; c < k; ++c) {
+    HMD_REQUIRE(w2_rows[c].size() == h + 1, "MlpNet: ragged output weights");
+    for (std::size_t j = 0; j < h; ++j) w2[c * lanes + j] = w2_rows[c][j];
+    b2[c] = w2_rows[c][h];
+  }
+}
+
+void MlpNet::unpack(std::vector<std::vector<double>>& w1_rows,
+                    std::vector<std::vector<double>>& w2_rows) const {
+  for (std::size_t j = 0; j < h; ++j)
+    for (std::size_t f = 0; f <= d; ++f) w1_rows[j][f] = w1[f * lanes + j];
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t j = 0; j < h; ++j) w2_rows[c][j] = w2[c * lanes + j];
+    w2_rows[c][h] = b2[c];
+  }
+}
+
+void mlp_sgd_steps(MlpNet& net, const double* x, const std::size_t* labels,
+                   std::span<const std::size_t> order, double lr,
+                   double momentum) {
+  mlp_sgd_steps_as(active_isa(), net, x, labels, order, lr, momentum);
+}
+
+void mlp_sgd_steps_as(Isa isa, MlpNet& net, const double* x,
+                      const std::size_t* labels,
+                      std::span<const std::size_t> order, double lr,
+                      double momentum) {
+#ifdef HMD_SIMD_DISPATCH
+  switch (isa) {
+    case Isa::kAvx512:
+      mlp_sgd_avx512(net, x, labels, order.data(), order.size(), lr,
+                     momentum);
+      return;
+    case Isa::kAvx2:
+      mlp_sgd_avx2(net, x, labels, order.data(), order.size(), lr, momentum);
+      return;
+    case Isa::kScalar: break;
+  }
+#else
+  (void)isa;
+#endif
+  mlp_sgd_body<2>(net, x, labels, order.data(), order.size(), lr, momentum);
 }
 
 void gemv_row_major(std::span<const double> matrix, std::size_t rows,

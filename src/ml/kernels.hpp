@@ -6,22 +6,35 @@
 // Bit-exactness contract: each kernel accumulates LEFT TO RIGHT in the
 // same order the pre-refactor per-classifier loops did (init value first,
 // then elements ascending), and nothing here may be compiled with
-// -ffast-math (kernels.cpp is additionally pinned to -ffp-contract=off so
-// an FMA-capable SIMD clone cannot skip the intermediate rounding the
-// scalar path performs). Changing an accumulation order is a behaviour
-// change — the determinism regression tests will catch it. Integer
-// kernels are exempt: exact math, so reassociation is a pure speed change.
+// -ffast-math. hmd_ml, and every target that includes this header, is
+// pinned to -ffp-contract=off: an FMA-capable SIMD clone, or a
+// -march=native build of the header-inline dot/axpy below inside a
+// scheme's source, would otherwise fuse `a*b + c` and skip the
+// intermediate rounding the reference order performs.
+// Changing an accumulation order is a behaviour change — the golden
+// fingerprint tests will catch it. Integer kernels are exempt: exact
+// math, so reassociation is a pure speed change.
 //
-// SIMD dispatch: the out-of-line kernels (screen, GEMM) carry scalar +
-// AVX2 + AVX-512 clones selected at runtime (active_isa()). The choice is
-// overridable via the HMD_KERNEL_ISA environment variable or force_isa()
-// so heterogeneous CI runners produce reproducible codepaths, and every
-// clone of a float kernel is bit-identical by construction — pinned by
-// the dispatch-parity test suite through the *_as(Isa, ...) entry points.
+// Vectorizing without reordering: the float kernels put INDEPENDENT
+// reductions in SIMD lanes (GEMM outputs, MLP hidden units) and never
+// split one reduction across lanes, so each lane performs exactly the
+// scalar IEEE sequence of its own output. Transcendentals (exp in the
+// sigmoid and softmax) stay scalar libm calls in every clone.
+//
+// SIMD dispatch: the out-of-line kernels (screen, GEMM, MLP step) carry
+// scalar + AVX2 + AVX-512 clones selected at runtime (active_isa()). The
+// choice is overridable via the HMD_KERNEL_ISA environment variable or
+// force_isa() so heterogeneous CI runners produce reproducible codepaths,
+// and every clone of a float kernel is bit-identical by construction —
+// pinned by the dispatch-parity test suite through the *_as(Isa, ...)
+// entry points.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -51,6 +64,24 @@ inline void axpy(double alpha, std::span<const double> x,
                  std::span<double> y) {
   const std::size_t n = x.size();
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
+
+/// Logistic sigmoid 1 / (1 + e^-z): the MLP hidden activation and the
+/// SVM margin link, one definition for training and every scoring tier.
+inline double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
+
+/// Numerically stable softmax of `k` logits in place. The max element's
+/// shifted logit is exactly 0.0 and std::exp(0.0) is exactly 1.0, so
+/// skipping the libm call there changes nothing but the call count.
+inline void softmax_row(double* logits, std::size_t k) {
+  const double mx = *std::max_element(logits, logits + k);
+  double total = 0.0;
+  for (std::size_t c = 0; c < k; ++c) {
+    const double t = logits[c] - mx;
+    logits[c] = t == 0.0 ? 1.0 : std::exp(t);
+    total += logits[c];
+  }
+  for (std::size_t c = 0; c < k; ++c) logits[c] /= total;
 }
 
 /// Σ (a[i]-b[i])², accumulated left to right.
@@ -217,6 +248,83 @@ void gemm_i8_i32(const std::int8_t* a, std::size_t rows, std::size_t d,
 void gemm_i8_i32_as(Isa isa, const std::int8_t* a, std::size_t rows,
                     std::size_t d, const std::int8_t* w, std::size_t k,
                     std::int32_t* out);
+
+/// The MLP SGD-step kernel pads the hidden layer to a multiple of this:
+/// the widest clone's vector (8 doubles, AVX-512), which every narrower
+/// clone's vector divides.
+inline constexpr std::size_t kMlpLanes = 8;
+
+/// A one-hidden-layer sigmoid/softmax network in the SGD-step kernel's
+/// lane layout, with its momentum and per-step scratch. `lanes` is the
+/// hidden count h rounded up to kMlpLanes; padded lanes hold zero weights
+/// and stay zero.
+///
+///   w1, v1   (d+1) x lanes, feature-major: row f holds input f's weight
+///            to every hidden unit; the bias row comes last
+///   w2, v2   k x lanes: row c holds every hidden unit's weight to output c
+///   b2, vb2  the k output biases
+///
+/// Both weight updates and the hidden-layer forward sum therefore run
+/// across hidden units, one unit per lane; the output logits (one sum
+/// over hidden units per class) are accumulated serially.
+struct MlpNet {
+  /// Packs bias-last rows: w1[j] = d input weights + bias of hidden unit
+  /// j, w2[c] = h hidden weights + bias of output c. Momenta start at 0.
+  MlpNet(const std::vector<std::vector<double>>& w1,
+         const std::vector<std::vector<double>>& w2);
+  /// Writes the weights back as bias-last rows, the inverse of the
+  /// constructor (w1/w2 must already have the network's shape).
+  void unpack(std::vector<std::vector<double>>& w1,
+              std::vector<std::vector<double>>& w2) const;
+
+  /// Rows start on cache lines, so no vector load or store splits one.
+  template <typename T>
+  struct LineAllocator {
+    using value_type = T;
+    LineAllocator() = default;
+    template <typename U>
+    LineAllocator(const LineAllocator<U>&) {}
+    T* allocate(std::size_t n) {
+      return static_cast<T*>(
+          ::operator new(n * sizeof(T), std::align_val_t{64}));
+    }
+    void deallocate(T* p, std::size_t) {
+      ::operator delete(p, std::align_val_t{64});
+    }
+    bool operator==(const LineAllocator&) const = default;
+  };
+  using Row = std::vector<double, LineAllocator<double>>;
+
+  std::size_t d, h, k, lanes;
+  Row w1, v1, w2, v2, b2, vb2;
+  Row hidden;  ///< scratch: the step's hidden activations (lanes)
+  Row err;     ///< scratch: the step's output error p - onehot(y) (k)
+};
+
+/// Online SGD with momentum, one step per row idx of `order` (input row
+/// x + idx*d, class labels[idx]): sigmoid hidden layer, softmax output,
+/// cross-entropy loss. Per step, with m = momentum:
+///
+///   forward   z_j = b1_j + Σ_f ascending x_f*w1_fj,  a_j = sigmoid(z_j)
+///             o_c = b2_c + Σ_j ascending w2_cj*a_j,  p = softmax(o)
+///   backward  e_c = p_c - [c == y],  δ_j = Σ_c ascending e_c*w2_cj (the
+///             pre-step weights)
+///   update    v = m*v - (lr*e_c)*a_j,        w2_cj += v  (bias: a = 1)
+///             v = m*v - (lr*g_j)*x_f,         w1_fj += v  (bias: x = 1)
+///             with g_j = (δ_j*a_j)*(1-a_j)
+///
+/// Every weight sees exactly this IEEE sequence in every clone (lanes run
+/// across hidden units, never across a sum), so the trained weights are
+/// bit-identical on every ISA. Allocation-free. Runtime-dispatched
+/// scalar/AVX2/AVX-512 clones.
+void mlp_sgd_steps(MlpNet& net, const double* x, const std::size_t* labels,
+                   std::span<const std::size_t> order, double lr,
+                   double momentum);
+/// Fixed-ISA variant for the dispatch-parity tests.
+void mlp_sgd_steps_as(Isa isa, MlpNet& net, const double* x,
+                      const std::size_t* labels,
+                      std::span<const std::size_t> order, double lr,
+                      double momentum);
 
 /// Standardize `x` into `out`: (x-mean)/stddev per feature, 0 where the
 /// training stddev was 0 (constant column). Matches Standardizer::transform

@@ -1,7 +1,6 @@
 #include "ml/linear.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "ml/kernels.hpp"
 #include "util/error.hpp"
@@ -16,27 +15,15 @@ void softmax_inplace(std::vector<double>& logits) {
 void apply_link(LinearLink link, double* scores, std::size_t rows,
                 std::size_t k) {
   if (link == LinearLink::kSoftmax) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::span<double> logits{scores + r * k, k};
-      // Stable softmax. The max element's shifted logit is exactly 0.0 and
-      // std::exp(0.0) is exactly 1.0, so skipping the libm call there
-      // changes nothing but the call count.
-      const double mx = *std::max_element(logits.begin(), logits.end());
-      double total = 0.0;
-      for (double& v : logits) {
-        const double t = v - mx;
-        v = t == 0.0 ? 1.0 : std::exp(t);
-        total += v;
-      }
-      for (double& v : logits) v /= total;
-    }
+    for (std::size_t r = 0; r < rows; ++r)
+      kernels::softmax_row(scores + r * k, k);
     return;
   }
   for (std::size_t r = 0; r < rows; ++r) {
     const std::span<double> margins{scores + r * k, k};
     double total = 0.0;
     for (double& v : margins) {
-      v = 1.0 / (1.0 + std::exp(-v));
+      v = kernels::sigmoid(v);
       total += v;
     }
     if (total > 0.0)

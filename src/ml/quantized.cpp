@@ -196,7 +196,7 @@ void QuantizedModel::int8_batch(const double* flat, std::size_t rows,
       const double z =
           l1.row_scale[h] * static_cast<double>(acc[r * l1.out + h]) +
           l1.bias[h];
-      const double a = 1.0 / (1.0 + std::exp(-z));
+      const double a = kernels::sigmoid(z);
       qh[r * l1.out + h] = quantize_i8(a * 127.0);
     }
   std::vector<std::int32_t> acc2(rows * l2.out);

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "util/error.hpp"
@@ -34,6 +37,21 @@ class IsaGuard {
  private:
   Isa saved_;
 };
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+/// FNV-1a over the bit patterns of `rows`, row by row (so -0.0 != 0.0).
+std::uint64_t fnv_rows(std::uint64_t h,
+                       const std::vector<std::vector<double>>& rows) {
+  for (const auto& row : rows)
+    for (const double v : row) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      h ^= bits;
+      h *= 1099511628211ull;
+    }
+  return h;
+}
 
 TEST(KernelsDispatch, IsaNamesRoundTrip) {
   for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
@@ -193,6 +211,101 @@ TEST(KernelsDispatch, GemmInt8BitIdenticalAcrossIsasAndToInt64Sum) {
   }
 }
 
+/// The per-weight scalar SGD loop the MLP kernel replaced, on bias-last
+/// rows (w1[j] = d weights + bias, w2[c] = h weights + bias): the
+/// reference the kernel must reproduce bit for bit.
+void reference_mlp_steps(std::vector<std::vector<double>>& w1,
+                         std::vector<std::vector<double>>& w2,
+                         std::vector<std::vector<double>>& v1,
+                         std::vector<std::vector<double>>& v2,
+                         const std::vector<double>& x,
+                         const std::vector<std::size_t>& labels,
+                         const std::vector<std::size_t>& order, double lr,
+                         double m) {
+  const std::size_t h = w1.size(), k = w2.size(), d = w1[0].size() - 1;
+  std::vector<double> hidden(h), out(k), delta(h);
+  for (const std::size_t idx : order) {
+    const std::span<const double> xi{x.data() + idx * d, d};
+    for (std::size_t j = 0; j < h; ++j)
+      hidden[j] = sigmoid(dot({w1[j].data(), d}, xi, w1[j][d]));
+    for (std::size_t c = 0; c < k; ++c)
+      out[c] = dot({w2[c].data(), h}, hidden, w2[c][h]);
+    softmax_row(out.data(), k);
+    std::fill(delta.begin(), delta.end(), 0.0);
+    for (std::size_t c = 0; c < k; ++c) {
+      const double err = out[c] - (c == labels[idx] ? 1.0 : 0.0);
+      axpy(err, {w2[c].data(), h}, delta);
+      for (std::size_t j = 0; j < h; ++j) {
+        v2[c][j] = m * v2[c][j] - (lr * err) * hidden[j];
+        w2[c][j] += v2[c][j];
+      }
+      v2[c][h] = m * v2[c][h] - lr * err;
+      w2[c][h] += v2[c][h];
+    }
+    for (std::size_t j = 0; j < h; ++j) {
+      const double step = lr * (delta[j] * hidden[j] * (1.0 - hidden[j]));
+      for (std::size_t f = 0; f < d; ++f) {
+        v1[j][f] = m * v1[j][f] - step * xi[f];
+        w1[j][f] += v1[j][f];
+      }
+      v1[j][d] = m * v1[j][d] - step;
+      w1[j][d] += v1[j][d];
+    }
+  }
+}
+
+TEST(KernelsDispatch, MlpSgdStepsBitIdenticalAcrossIsasAndToScalarLoop) {
+  Rng rng(47);
+  // Hidden counts below, at and past each clone's vector width; d = 1 is
+  // the narrowest input; repeated rows in `order` revisit momentum.
+  for (const auto [h, d, k] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{1, 1, 2},
+        {3, 16, 6},
+        {8, 5, 2},
+        {9, 16, 2},
+        {17, 3, 3}}) {
+    SCOPED_TRACE(testing::Message() << "h=" << h << " d=" << d << " k=" << k);
+    std::vector<std::vector<double>> w1(h, std::vector<double>(d + 1));
+    std::vector<std::vector<double>> w2(k, std::vector<double>(h + 1));
+    for (auto& row : w1)
+      for (double& v : row) v = rng.normal(0.0, 0.5);
+    for (auto& row : w2)
+      for (double& v : row) v = rng.normal(0.0, 0.5);
+    const std::size_t n = 23;
+    std::vector<double> x(n * d);
+    for (double& v : x) v = rng.normal(0.0, 1.5);
+    std::vector<std::size_t> labels(n), order(3 * n);
+    for (auto& y : labels) y = rng.uniform_index(k);
+    for (auto& i : order) i = rng.uniform_index(n);
+
+    // The pack/unpack round trip is exact.
+    std::vector<std::vector<double>> back1 = w1, back2 = w2;
+    for (auto& row : back1) std::fill(row.begin(), row.end(), 0.0);
+    for (auto& row : back2) std::fill(row.begin(), row.end(), 0.0);
+    MlpNet(w1, w2).unpack(back1, back2);
+    ASSERT_EQ(back1, w1);
+    ASSERT_EQ(back2, w2);
+
+    // Two calls (lr changes between epochs) carry the momentum over.
+    auto ref1 = w1, ref2 = w2;
+    std::vector<std::vector<double>> rv1(h, std::vector<double>(d + 1, 0.0));
+    std::vector<std::vector<double>> rv2(k, std::vector<double>(h + 1, 0.0));
+    reference_mlp_steps(ref1, ref2, rv1, rv2, x, labels, order, 0.05, 0.9);
+    reference_mlp_steps(ref1, ref2, rv1, rv2, x, labels, order, 0.03, 0.9);
+    const std::uint64_t want =
+        fnv_rows(fnv_rows(kFnvOffset, ref1), ref2);
+    for (Isa isa : supported_isas()) {
+      MlpNet net(w1, w2);
+      mlp_sgd_steps_as(isa, net, x.data(), labels.data(), order, 0.05, 0.9);
+      mlp_sgd_steps_as(isa, net, x.data(), labels.data(), order, 0.03, 0.9);
+      std::vector<std::vector<double>> got1 = w1, got2 = w2;
+      net.unpack(got1, got2);
+      EXPECT_EQ(fnv_rows(fnv_rows(kFnvOffset, got1), got2), want)
+          << to_string(isa);
+    }
+  }
+}
+
 TEST(KernelsDispatch, BoundIsValidLowerBoundWithinDocumentedSlack) {
   // bound_squared_l2 is EXEMPT from bit-parity (reassociated reduction);
   // the contract is: every ISA's value is within a tiny relative rounding
@@ -247,8 +360,6 @@ std::uint64_t fnv_doubles(std::uint64_t h, const std::vector<double>& vs) {
   }
   return h;
 }
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 
 TEST(KernelsDispatch, GoldenFingerprintAffineBatch) {
   Rng rng(4242);
